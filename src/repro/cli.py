@@ -33,22 +33,19 @@ Commands
         python -m repro sched --policy all --jobs 25 --load 2 4
 
 ``sweep``
-    Fan a declarative (machine × mode × scale × seed) grid across
-    worker processes and write one merged JSON artifact — byte
-    identical for every ``--workers`` value::
+    Fan a declarative (machine × mode × scale × cache × seed) grid
+    across worker processes and write one merged JSON artifact — byte
+    identical for every ``--workers`` value.  This is the only command
+    that runs grids in parallel::
 
         python -m repro sweep --workload vpic --scales 8 16 \\
             --seeds 0 1 2 3 --workers 4 --out sweep.json
 
 ``cache``
     Run a read workload through the tiered staging cache (async VOL +
-    :mod:`repro.cache`) and print hit/deadline/bytes-per-tier metrics;
-    with ``--seeds`` it fans a cache-axis grid across workers into a
-    worker-count-invariant JSON artifact::
+    :mod:`repro.cache`) and print hit/deadline/bytes-per-tier metrics::
 
         python -m repro cache --workload bdcats --ranks 8 --prefetch on
-        python -m repro cache --workload bdcats --seeds 0 1 2 \\
-            --workers 2 --out cache.json
 
 ``check``
     Static analysis + optional runtime checking (the repo's own
@@ -63,15 +60,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import pathlib
 import sys
 from typing import Optional, Sequence
 
-from repro.platform import cori_haswell, summit, testbed
 from repro.harness import figures as figures_mod
 from repro.harness.experiment import run_experiment
+from repro.harness.registry import (
+    MACHINES, WORKLOADS, machine_spec, workload_setup,
+)
 
 __all__ = ["main"]
+
+#: Scheduler policies (``sched --policy all`` runs each).
+_POLICIES = ["fifo", "backfill", "io-aware"]
 
 #: Micro-benchmark ids (a subset of the figure makers, listed apart).
 _MICROBENCH_IDS = ["mb-memcpy", "mb-gpu"]
@@ -102,62 +105,31 @@ _FIGURE_MAKERS = {
     "mb-gpu": figures_mod.microbench_gpu,
 }
 
-_MACHINES = {
-    "summit": summit,
-    "cori": cori_haswell,
-    "cori-haswell": cori_haswell,
-    "testbed": testbed,
-}
+
+def _checked(cast, low, strict: bool):
+    """An argparse ``type=`` that parses a finite number above ``low``."""
+    bound = (f"{'an integer' if cast is int else 'a number'} "
+             f"{'>' if strict else '>='} {low}")
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected {bound}, got {text!r}") from None
+        if not math.isfinite(value) or value < low or (
+                strict and value == low):
+            raise argparse.ArgumentTypeError(
+                f"expected {bound}, got {text!r}")
+        return value
+
+    return parse
 
 
-def _workload_table():
-    """name -> (program_factory, config_factory, prepopulate, op, description)."""
-    from repro.workloads import (
-        BDCATSConfig, CastroConfig, CosmoflowConfig, NyxConfig, SW4Config,
-        VPICConfig, bdcats_program, castro_program, cosmoflow_program,
-        nyx_program, prepopulate_vpic_file, sw4_program, vpic_program,
-    )
-
-    return {
-        "vpic": (vpic_program, lambda: VPICConfig(steps=3), None, "write",
-                 "VPIC-IO particle dump kernel (weak-scaling writes)"),
-        "bdcats": (
-            bdcats_program,
-            lambda: BDCATSConfig(steps=3),
-            lambda cfg: (lambda lib, n: prepopulate_vpic_file(lib, cfg, n)),
-            "read",
-            "BD-CATS-IO clustering kernel (reads a VPIC-IO file)",
-        ),
-        "nyx-small": (nyx_program, lambda: NyxConfig.small(n_plotfiles=3),
-                      None, "write",
-                      "Nyx cosmology, 256^3 AMR plotfiles every 20 steps"),
-        "nyx-large": (nyx_program, lambda: NyxConfig.large(n_plotfiles=3),
-                      None, "write",
-                      "Nyx cosmology, 2048^3 AMR plotfiles every 50 steps"),
-        "castro": (castro_program, lambda: CastroConfig(n_plotfiles=3),
-                   None, "write",
-                   "Castro astrophysics, multifab + particle plotfiles"),
-        "sw4": (sw4_program, lambda: SW4Config(n_checkpoints=3), None,
-                "write",
-                "SW4/EQSIM seismology checkpoints (strong-scaling writes)"),
-        "cosmoflow": (
-            cosmoflow_program,
-            lambda: CosmoflowConfig(epochs=2, batches_per_rank=4),
-            lambda cfg: (lambda lib, n: cfg.prepopulate(lib, n)),
-            "read",
-            "Cosmoflow training loader (per-rank shard reads)",
-        ),
-    }
-
-
-def _workload_entry(name: str):
-    """(program_factory, config_factory, prepopulate, op) per workload."""
-    table = _workload_table()
-    if name not in table:
-        raise SystemExit(
-            f"unknown workload {name!r}; choose from {sorted(table)}"
-        )
-    return table[name][:4]
+_positive_int = _checked(int, 0, strict=True)
+_non_negative_int = _checked(int, 0, strict=False)
+_positive_float = _checked(float, 0, strict=True)
+_non_negative_float = _checked(float, 0, strict=False)
 
 
 def _cmd_list(_args) -> int:
@@ -169,16 +141,16 @@ def _cmd_list(_args) -> int:
         doc = (_FIGURE_MAKERS[fid].__doc__ or "").strip().splitlines()[0]
         print(f"  {fid:{width}s}  {doc}")
     print()
-    print("workloads (for 'run' and 'profile'):")
-    for name, entry in sorted(_workload_table().items()):
-        print(f"  {name:{width}s}  {entry[4]} [{entry[3]}]")
+    print("workloads (for 'run', 'profile', 'cache' and 'sweep'):")
+    for name, entry in sorted(WORKLOADS.items()):
+        print(f"  {name:{width}s}  {entry.description} [{entry.op}]")
     print()
     print("micro-benchmarks:")
     for fid in _MICROBENCH_IDS:
         doc = (_FIGURE_MAKERS[fid].__doc__ or "").strip().splitlines()[0]
         print(f"  {fid:{width}s}  {doc}")
     print()
-    print("sweepable grids (for 'sweep'; also via 'run'/'sched' --seeds):")
+    print("sweepable grids (for 'sweep', the only parallel fan-out):")
     from repro.harness.sweepengine import sweepable_grids
     for name, desc in sweepable_grids():
         print(f"  {name:{width}s}  {desc}")
@@ -230,25 +202,21 @@ def _cmd_microbench(args) -> int:
 
 def _run_workload_raw(args):
     """Shared runner for ``run``/``profile``: (vol, app_time, op, engine)."""
-    import math
     from repro.sim import Engine
     from repro.mpi import MPIJob
     from repro.platform import Cluster
     from repro.hdf5 import H5Library
 
-    machine = _MACHINES[args.machine]()
-    program_factory, config_factory, prepopulate_factory, op = (
-        _workload_entry(args.workload)
-    )
-    config = config_factory()
+    machine = machine_spec(args.machine)
+    program_factory, config, prepopulate, op = workload_setup(args.workload)
     engine = Engine()
     rpn = machine.default_ranks_per_node
     cluster = Cluster(engine, machine, math.ceil(args.ranks / rpn))
     lib = H5Library(cluster)
     from repro.harness.experiment import build_vol
     vol = build_vol(args.mode)
-    if prepopulate_factory is not None:
-        prepopulate_factory(config)(lib, args.ranks)
+    if prepopulate is not None:
+        prepopulate(lib, args.ranks)
     job = MPIJob(cluster, args.ranks)
     results = job.run(program_factory(lib, vol, config))
     return vol, max(results), op, engine
@@ -279,106 +247,69 @@ def _sweep_progress(done: int, total: int, point: dict) -> None:
 
 def _cmd_sched(args) -> int:
     from repro.harness.report import FigureData
-    from repro.harness.sched import run_fleet, sched_testbed
+    from repro.harness.sched import run_fleet, stream_chaos
     from repro.sched import StreamConfig
 
-    machine = (sched_testbed() if args.machine == "sched-testbed"
-               else _MACHINES[args.machine]())
-    policies = (["fifo", "backfill", "io-aware"] if args.policy == "all"
-                else [args.policy])
-    seeds = args.seeds if args.seeds else [args.seed]
+    machine = machine_spec(args.machine)
+    policies = _POLICIES if args.policy == "all" else [args.policy]
     chaos = args.fault_rate > 0.0
     title = (f"{args.jobs} jobs/stream on {machine.name}, "
-             f"seeds {seeds} (loads = mean interarrival s)")
+             f"seeds {args.seeds} (loads = mean interarrival s)")
     columns = ["load", "policy", "seed", "done", "t/o", "async", "jobs/h",
                "wait p95", "compl p50", "compl p95", "compl p99",
                "makespan", "PFS util"]
+    fields = ["completed", "timeouts", "n_async", "goodput_jobs_per_hour",
+              "wait_p95", "completion_p50", "completion_p95",
+              "completion_p99", "makespan", "pfs_utilization"]
     if chaos:
         title += (f"; chaos rate {args.fault_rate:g} crash/node/1000s, "
                   f"fault seed {args.fault_seed}, checkpoint-restart "
                   f"{'off' if args.no_checkpoint else 'on'}")
         columns += ["kills", "requeue", "lost s"]
+        fields += ["node_kills", "requeues", "lost_work_seconds"]
     fig = FigureData(name="sched", title=title, columns=columns)
-
-    def add_row(load, policy, seed, m) -> None:
-        row = [
-            load, policy, seed, m["completed"], m["timeouts"], m["n_async"],
-            m["goodput_jobs_per_hour"], m["wait_p95"], m["completion_p50"],
-            m["completion_p95"], m["completion_p99"], m["makespan"],
-            m["pfs_utilization"],
-        ]
-        if chaos:
-            row += [m["node_kills"], m["requeues"], m["lost_work_seconds"]]
-        fig.add_row(*row)
-
-    if args.seeds and args.workers > 1:
-        # Grid mode: fan (policy x load x seed) across worker processes.
-        from repro.harness.sweepengine import SweepSpec, run_sweep
-
-        spec = SweepSpec(
-            kind="sched", workload="sched",
-            machines=(args.machine,), modes=tuple(policies),
-            scales=tuple(args.load), seeds=tuple(seeds), jobs=args.jobs,
-            faults=(args.fault_rate,), fault_seed=args.fault_seed,
-            checkpoint=not args.no_checkpoint,
-        )
-        outcome = run_sweep(spec, workers=args.workers,
-                            progress=_sweep_progress)
-        for p in outcome.merged["points"]:
-            if not p["ok"]:
-                print(f"  point {p['index']} failed: "
-                      f"{p['error']['kind']}: {p['error']['message']}",
-                      file=sys.stderr)
-                continue
-            add_row(p["scale"], p["mode"], p["seed"], p["metrics"])
-    else:
-        from dataclasses import asdict
-
-        from repro.faults import chaos_config
-
-        for load in args.load:
-            for policy in policies:
-                for seed in seeds:
-                    cfg = StreamConfig(
-                        n_jobs=args.jobs, seed=seed, mean_interarrival=load,
-                        rank_choices=(8, 16, 32),
-                        size_scale=args.size_scale,
-                    )
-                    fault = chaos_config(
-                        args.fault_rate,
-                        seed=args.fault_seed + 7919 * seed,
-                    )
-                    add_row(load, policy, seed,
-                            asdict(run_fleet(
-                                machine, cfg, policy, fault_config=fault,
-                                checkpoint_restart=not args.no_checkpoint,
-                            )))
+    for load in args.load:
+        for policy in policies:
+            for seed in args.seeds:
+                cfg = StreamConfig(
+                    n_jobs=args.jobs, seed=seed, mean_interarrival=load,
+                    rank_choices=(8, 16, 32), size_scale=args.size_scale,
+                )
+                m = run_fleet(
+                    machine, cfg, policy,
+                    fault_config=stream_chaos(args.fault_rate,
+                                              args.fault_seed, seed),
+                    checkpoint_restart=not args.no_checkpoint,
+                )
+                fig.add_row(load, policy, seed,
+                            *(getattr(m, f) for f in fields))
     print(fig.to_text())
     return 0
 
 
 def _cmd_sweep(args) -> int:
     from repro.harness.sweepengine import (
-        SweepSpec, merged_sweep_points, run_sweep,
+        SweepSpec, expand_grid, merged_sweep_points, run_sweep,
     )
 
     if args.kind == "sched":
         modes = tuple(args.policies)
         scales = tuple(args.loads)
     else:
-        _workload_entry(args.workload)  # validate early
         modes = tuple(args.modes)
         scales = tuple(float(s) for s in args.scales)
-    spec = SweepSpec(
-        kind=args.kind, workload=args.workload,
-        machines=tuple(args.machines), modes=modes, scales=scales,
-        seeds=tuple(args.seeds), jobs=args.jobs,
-        faults=tuple(args.faults), fault_seed=args.fault_seed,
-        checkpoint=not args.no_checkpoint,
-    )
-    n_points = (len(args.machines) * len(modes) * len(scales)
-                * len(args.faults) * len(args.seeds))
-    print(f"sweep: {spec.describe()} = {n_points}"
+    try:
+        spec = SweepSpec(
+            kind=args.kind, workload=args.workload,
+            machines=tuple(args.machines), modes=modes, scales=scales,
+            seeds=tuple(args.seeds), jobs=args.jobs,
+            faults=tuple(args.faults), fault_seed=args.fault_seed,
+            checkpoint=not args.no_checkpoint, cache=tuple(args.cache),
+        )
+    except ValueError as exc:
+        print(f"repro sweep: error: {exc}", file=sys.stderr)
+        return 2
+    print(f"sweep: {spec.describe()} = {len(expand_grid(spec))}"
           f" points on {args.workers} worker(s)", file=sys.stderr)
     outcome = run_sweep(spec, workers=args.workers,
                         progress=_sweep_progress if not args.quiet else None)
@@ -393,10 +324,13 @@ def _cmd_sweep(args) -> int:
               f"[{p['error']['family']}] {p['error']['kind']}: "
               f"{p['error']['message']}")
     if args.kind == "workload":
-        for sp in merged_sweep_points(outcome.merged):
-            print(f"  {sp.mode:6s} ranks={sp.nranks:<6d} "
-                  f"peak={sp.peak_gbs:.2f} GB/s over {len(sp.all_peaks)} "
-                  f"seed(s)")
+        for cache in spec.cache:
+            label = "" if cache == "none" else f" cache={cache}"
+            subset = {"points": [p for p in points if p["cache"] == cache]}
+            for sp in merged_sweep_points(subset):
+                print(f"  {sp.mode:6s} ranks={sp.nranks:<6d}{label} "
+                      f"peak={sp.peak_gbs:.2f} GB/s over "
+                      f"{len(sp.all_peaks)} seed(s)")
     if args.out:
         pathlib.Path(args.out).write_text(outcome.to_json())
         print(f"merged artifact -> {args.out}")
@@ -410,7 +344,6 @@ def _runtime_smoke_text() -> str:
     then under the installed checker) and requires byte-identical text —
     proving the checker is strictly observational — plus zero findings.
     """
-    import math
     from repro.sim import Engine
     from repro.mpi import MPIJob
     from repro.platform import Cluster
@@ -418,7 +351,7 @@ def _runtime_smoke_text() -> str:
     from repro.hdf5.async_vol import AsyncVOL
     from repro.workloads import VPICConfig, vpic_program
 
-    machine = _MACHINES["testbed"]()
+    machine = machine_spec("testbed")
     nranks = 4
     config = VPICConfig(particles_per_rank=1 << 14, steps=2,
                         compute_seconds=1.0)
@@ -547,54 +480,17 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    cache_mode = "on" if args.prefetch == "on" else "off"
-    if args.seeds:
-        # Grid mode: (seed) axis at the chosen cache mode, merged into
-        # a worker-count-invariant artifact (the CI cache-smoke gate).
-        from repro.harness.sweepengine import SweepSpec, run_sweep
-
-        _workload_entry(args.workload)  # validate early
-        spec = SweepSpec(
-            kind="workload", workload=args.workload,
-            machines=(args.machine,), modes=("async",),
-            scales=(float(args.ranks),), seeds=tuple(args.seeds),
-            cache=(cache_mode,),
-        )
-        outcome = run_sweep(spec, workers=args.workers,
-                            progress=_sweep_progress)
-        failed = [p for p in outcome.merged["points"] if not p["ok"]]
-        for p in outcome.merged["points"]:
-            if not p["ok"]:
-                print(f"seed {p['seed']:<4d} FAILED "
-                      f"[{p['error']['family']}] {p['error']['kind']}")
-                continue
-            m = p["metrics"]
-            stats = m.get("cache_stats") or {}
-            print(f"seed {p['seed']:<4d} read stall "
-                  f"{m['read_stall_seconds']:.3f} s  hit ratio "
-                  f"{stats.get('hit_ratio', 0.0):.2f}  on-time "
-                  f"{stats.get('on_time_ratio', 1.0):.2f}")
-        if args.out:
-            pathlib.Path(args.out).write_text(outcome.to_json())
-            print(f"merged artifact -> {args.out}")
-        return 1 if failed else 0
-
     from repro.cache import tier_preset
 
-    machine = _MACHINES[args.machine]()
     tiers = None if args.tiers == "auto" else tier_preset(args.tiers)
-    program_factory, config_factory, prepopulate_factory, op = (
-        _workload_entry(args.workload)
-    )
-    config = config_factory()
-    prepopulate = (prepopulate_factory(config)
-                   if prepopulate_factory is not None else None)
+    program_factory, config, prepopulate, op = workload_setup(args.workload)
     # The VOL's own heuristic prefetcher is disabled so the planner's
     # declared-read schedule is the only read-ahead in play.
     result = run_experiment(
-        machine, args.workload, program_factory, config, mode="async",
-        nranks=args.ranks, prepopulate=prepopulate, op=op,
-        vol_kwargs={"prefetcher": None}, cache_mode=cache_mode,
+        machine_spec(args.machine), args.workload, program_factory, config,
+        mode="async", nranks=args.ranks, prepopulate=prepopulate, op=op,
+        vol_kwargs={"prefetcher": None},
+        cache_mode="on" if args.prefetch == "on" else "off",
         cache_tiers=tiers,
     )
     stats = result.cache_stats or {}
@@ -617,45 +513,10 @@ def _cmd_cache(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    if args.seeds:
-        # Seed-grid mode: the same experiment across contention days,
-        # fanned over worker processes; prints the paper's plotted
-        # best-of-days reduction.
-        from repro.harness.sweepengine import (
-            SweepSpec, merged_sweep_points, run_sweep,
-        )
-
-        _workload_entry(args.workload)  # validate early
-        spec = SweepSpec(
-            kind="workload", workload=args.workload,
-            machines=(args.machine,), modes=(args.mode,),
-            scales=(float(args.ranks),), seeds=tuple(args.seeds),
-        )
-        outcome = run_sweep(spec, workers=args.workers,
-                            progress=_sweep_progress)
-        for p in outcome.merged["points"]:
-            if p["ok"]:
-                m = p["metrics"]
-                print(f"seed {p['seed']:<4d} peak "
-                      f"{m['peak_bandwidth'] / 1e9:.2f} GB/s  app_time "
-                      f"{m['app_time']:.2f} s")
-            else:
-                print(f"seed {p['seed']:<4d} FAILED "
-                      f"[{p['error']['family']}] {p['error']['kind']}")
-        for sp in merged_sweep_points(outcome.merged):
-            print(f"best of {len(sp.all_peaks)} seed(s): "
-                  f"{sp.peak_gbs:.2f} GB/s ({sp.mode}, {sp.nranks} ranks)")
-        return 0
-    machine = _MACHINES[args.machine]()
-    program_factory, config_factory, prepopulate_factory, op = (
-        _workload_entry(args.workload)
-    )
-    config = config_factory()
-    prepopulate = (prepopulate_factory(config)
-                   if prepopulate_factory is not None else None)
+    program_factory, config, prepopulate, op = workload_setup(args.workload)
     result = run_experiment(
-        machine, args.workload, program_factory, config, mode=args.mode,
-        nranks=args.ranks, prepopulate=prepopulate, op=op,
+        machine_spec(args.machine), args.workload, program_factory, config,
+        mode=args.mode, nranks=args.ranks, prepopulate=prepopulate, op=op,
     )
     print(f"workload        {result.workload} ({op})")
     print(f"machine         {result.machine}")
@@ -671,6 +532,8 @@ def _cmd_run(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI argument parser (exposed for tests)."""
+    from repro.cache import tier_preset_names
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduction of 'Evaluating Asynchronous Parallel I/O "
@@ -696,27 +559,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_mb.add_argument("--out", default=None)
     p_mb.set_defaults(func=_cmd_microbench)
 
+    machines = sorted(MACHINES)
+    workloads = sorted(WORKLOADS)
     p_run = sub.add_parser("run", help="run one workload experiment")
-    p_run.add_argument("--workload", required=True,
-                       help="vpic | bdcats | nyx-small | nyx-large | castro "
-                            "| sw4 | cosmoflow")
-    p_run.add_argument("--machine", choices=sorted(_MACHINES), default="summit")
+    p_run.add_argument("--workload", required=True, choices=workloads)
+    p_run.add_argument("--machine", choices=machines, default="summit")
     p_run.add_argument("--mode", choices=["sync", "async"], default="sync")
-    p_run.add_argument("--ranks", type=int, default=96)
-    p_run.add_argument("--seeds", type=int, nargs="+", default=None,
-                       help="run a seed grid (contention days) instead of "
-                            "one experiment")
-    p_run.add_argument("--workers", type=int, default=1,
-                       help="worker processes for --seeds grids")
+    p_run.add_argument("--ranks", type=_positive_int, default=96)
     p_run.set_defaults(func=_cmd_run)
 
     p_prof = sub.add_parser("profile",
                             help="run a workload and print an I/O profile")
-    p_prof.add_argument("--workload", required=True)
-    p_prof.add_argument("--machine", choices=sorted(_MACHINES),
-                        default="summit")
+    p_prof.add_argument("--workload", required=True, choices=workloads)
+    p_prof.add_argument("--machine", choices=machines, default="summit")
     p_prof.add_argument("--mode", choices=["sync", "async"], default="sync")
-    p_prof.add_argument("--ranks", type=int, default=96)
+    p_prof.add_argument("--ranks", type=_positive_int, default=96)
     p_prof.add_argument("--stats", action="store_true",
                         help="also print the simulator's EngineStats counters")
     p_prof.set_defaults(func=_cmd_profile)
@@ -724,25 +581,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_sched = sub.add_parser(
         "sched", help="run a multi-tenant job stream through the scheduler"
     )
-    p_sched.add_argument("--policy",
-                         choices=["fifo", "backfill", "io-aware", "all"],
+    p_sched.add_argument("--policy", choices=_POLICIES + ["all"],
                          default="all")
-    p_sched.add_argument("--machine",
-                         choices=sorted(_MACHINES) + ["sched-testbed"],
+    p_sched.add_argument("--machine", choices=machines,
                          default="sched-testbed")
-    p_sched.add_argument("--jobs", type=int, default=25,
+    p_sched.add_argument("--jobs", type=_positive_int, default=25,
                          help="jobs per stream")
-    p_sched.add_argument("--seed", type=int, default=7)
-    p_sched.add_argument("--load", type=float, nargs="+", default=[2.0, 4.0],
+    p_sched.add_argument("--seeds", type=_non_negative_int, nargs="+",
+                         default=[7],
+                         help="job-stream seeds; every (policy, load) runs "
+                              "under each")
+    p_sched.add_argument("--load", type=_positive_float, nargs="+",
+                         default=[2.0, 4.0],
                          help="mean interarrival gap(s) in seconds")
-    p_sched.add_argument("--size-scale", type=float, default=4.0,
+    p_sched.add_argument("--size-scale", type=_positive_float, default=4.0,
                          help="job I/O size multiplier")
-    p_sched.add_argument("--seeds", type=int, nargs="+", default=None,
-                         help="run every (policy, load) under each seed "
-                              "(overrides --seed)")
-    p_sched.add_argument("--workers", type=int, default=1,
-                         help="worker processes for --seeds grids")
-    p_sched.add_argument("--fault-rate", type=float, default=0.0,
+    p_sched.add_argument("--fault-rate", type=_non_negative_float,
+                         default=0.0,
                          help="chaos axis: expected node crashes per node "
                               "per 1000 sim-seconds (0 = off)")
     p_sched.add_argument("--fault-seed", type=int, default=0,
@@ -754,39 +609,46 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser(
         "sweep",
-        help="fan a (machine x mode x scale x seed) grid across worker "
-             "processes; merged JSON is byte-identical for every "
+        help="fan a (machine x mode x scale x cache x seed) grid across "
+             "worker processes; merged JSON is byte-identical for every "
              "--workers value",
     )
     p_sweep.add_argument("--kind", choices=["workload", "sched"],
                          default="workload")
-    p_sweep.add_argument("--workload", default="vpic",
-                         help="workload name (kind=workload); see 'list'")
+    p_sweep.add_argument("--workload", default="vpic", choices=workloads,
+                         help="workload name (kind=workload)")
     p_sweep.add_argument("--machines", nargs="+", default=["testbed"],
-                         help="machine names (sched-testbed allowed for "
-                              "kind=sched)")
+                         choices=machines, help="machine names")
     p_sweep.add_argument("--modes", nargs="+", default=["sync", "async"],
+                         choices=["sync", "async"],
                          help="VOL modes (kind=workload)")
-    p_sweep.add_argument("--policies", nargs="+",
-                         default=["fifo", "backfill", "io-aware"],
+    p_sweep.add_argument("--policies", nargs="+", default=_POLICIES,
+                         choices=_POLICIES,
                          help="scheduler policies (kind=sched)")
-    p_sweep.add_argument("--scales", type=float, nargs="+", default=[8],
-                         help="rank counts (kind=workload)")
-    p_sweep.add_argument("--loads", type=float, nargs="+", default=[2.0],
+    p_sweep.add_argument("--scales", type=_positive_int, nargs="+",
+                         default=[8], help="rank counts (kind=workload)")
+    p_sweep.add_argument("--loads", type=_positive_float, nargs="+",
+                         default=[2.0],
                          help="mean interarrival gaps (kind=sched)")
-    p_sweep.add_argument("--seeds", type=int, nargs="+", default=[0],
+    p_sweep.add_argument("--cache", nargs="+", default=["none"],
+                         choices=["none", "off", "write", "on"],
+                         help="staging-cache axis (kind=workload): "
+                              "run_experiment cache modes, none = no cache")
+    p_sweep.add_argument("--seeds", type=_non_negative_int, nargs="+",
+                         default=[0],
                          help="per-point seeds (contention day / job "
                               "stream)")
-    p_sweep.add_argument("--jobs", type=int, default=12,
+    p_sweep.add_argument("--jobs", type=_positive_int, default=12,
                          help="jobs per stream (kind=sched)")
-    p_sweep.add_argument("--faults", type=float, nargs="+", default=[0.0],
+    p_sweep.add_argument("--faults", type=_non_negative_float, nargs="+",
+                         default=[0.0],
                          help="chaos axis (kind=sched): node-crash rates "
                               "per node per 1000 sim-seconds (0 = off)")
     p_sweep.add_argument("--fault-seed", type=int, default=0,
                          help="base seed of the crash schedules")
     p_sweep.add_argument("--no-checkpoint", action="store_true",
                          help="requeued crash victims restart from scratch")
-    p_sweep.add_argument("--workers", type=int, default=1)
+    p_sweep.add_argument("--workers", type=_positive_int, default=1)
     p_sweep.add_argument("--out", default=None,
                          help="write the merged JSON artifact here")
     p_sweep.add_argument("--quiet", action="store_true",
@@ -796,30 +658,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_cache = sub.add_parser(
         "cache",
         help="run a workload through the tiered staging cache and print "
-             "hit/deadline metrics; --seeds fans a worker-count-"
-             "invariant grid",
+             "hit/deadline metrics",
     )
-    p_cache.add_argument("--workload", default="bdcats",
-                         help="workload name (read workloads benefit; "
-                              "see 'list')")
-    p_cache.add_argument("--machine", choices=sorted(_MACHINES),
-                         default="summit")
-    p_cache.add_argument("--ranks", type=int, default=8)
+    p_cache.add_argument("--workload", default="bdcats", choices=workloads,
+                         help="workload name (read workloads benefit)")
+    p_cache.add_argument("--machine", choices=machines, default="summit")
+    p_cache.add_argument("--ranks", type=_positive_int, default=8)
     p_cache.add_argument("--tiers", default="auto",
+                         choices=["auto"] + tier_preset_names(),
                          help="'auto' (derive from --machine) or a tier "
-                              "preset name from 'list' (single-run mode "
-                              "only)")
+                              "preset name from 'list'")
     p_cache.add_argument("--prefetch", choices=["on", "off"], default="on",
                          help="deadline-declared read prefetch (off = "
                               "inert-cache baseline)")
-    p_cache.add_argument("--seeds", type=int, nargs="+", default=None,
-                         help="run a contention-day seed grid instead of "
-                              "one experiment")
-    p_cache.add_argument("--workers", type=int, default=1,
-                         help="worker processes for --seeds grids")
-    p_cache.add_argument("--out", default=None,
-                         help="write the merged JSON artifact (--seeds "
-                              "mode)")
     p_cache.set_defaults(func=_cmd_cache)
 
     p_check = sub.add_parser(
@@ -862,7 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
                               "files re-analyzed this run (changed files "
                               "plus everything the reverse call graph "
                               "invalidated)")
-    p_check.add_argument("--workers", type=int, default=None,
+    p_check.add_argument("--workers", type=_positive_int, default=None,
                          help="with --inter: lint fan-out process count "
                               "(output is byte-identical for any value)")
     p_check.add_argument("--cache-dir", default=".repro-check-cache",

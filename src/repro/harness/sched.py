@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.sim import Engine
-from repro.faults import FaultConfig, FaultInjector
+from repro.faults import FaultConfig, FaultInjector, chaos_config
 from repro.platform import Cluster, ContentionTimeline
 from repro.platform.spec import MachineSpec
 from repro.sched import (
@@ -30,7 +30,10 @@ from repro.sched import (
     make_policy,
 )
 
-__all__ = ["FleetMetrics", "percentile", "run_fleet", "sched_testbed"]
+__all__ = [
+    "FleetMetrics", "percentile", "run_fleet", "sched_testbed",
+    "stream_chaos",
+]
 
 GB = 1e9
 
@@ -46,6 +49,18 @@ def sched_testbed() -> MachineSpec:
     from repro.platform import testbed
     return testbed(nodes=8, ranks_per_node=4, pfs_peak=3.0 * GB,
                    nic=2.0 * GB)
+
+
+def stream_chaos(
+    rate: float, fault_seed: int, stream_seed: int,
+) -> Optional[FaultConfig]:
+    """The node-crash chaos one job stream meets (``None`` when off).
+
+    Mixes the stream seed into the base fault seed (a fixed odd prime
+    keeps the map injective) so each stream meets its own crash
+    schedule, yet the pair replays bit-identically.
+    """
+    return chaos_config(rate, seed=fault_seed + 7919 * stream_seed)
 
 
 def percentile(values, q: float) -> float:

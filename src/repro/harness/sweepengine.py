@@ -37,8 +37,11 @@ from typing import Callable, Optional, Sequence
 
 from repro.faults import FaultError
 from repro.harness.experiment import ExperimentResult, run_experiment
+from repro.harness.registry import WORKLOADS, machine_spec, workload_setup
+from repro.harness.sched import run_fleet, stream_chaos
 from repro.harness.sweep import SweepPoint, best_by_config
 from repro.platform import ContentionModel
+from repro.sched import StreamConfig
 
 __all__ = [
     "PointResult",
@@ -204,62 +207,25 @@ def expand_grid(spec: SweepSpec) -> list[SweepTask]:
     return tasks
 
 
-def _machine_spec(name: str):
-    from repro.harness.sched import sched_testbed
-    from repro.platform import cori_haswell, summit, testbed
-
-    table = {
-        "summit": summit,
-        "cori": cori_haswell,
-        "cori-haswell": cori_haswell,
-        "testbed": testbed,
-        "sched-testbed": sched_testbed,
-    }
-    if name not in table:
-        raise ValueError(
-            f"unknown machine {name!r}; choose from {sorted(table)}"
-        )
-    return table[name]()
-
-
 def _run_workload_point(task: SweepTask) -> dict:
-    from repro.cli import _workload_entry
-
-    machine = _machine_spec(task.machine)
-    program_factory, config_factory, prepopulate_factory, op = (
-        _workload_entry(task.workload)
-    )
-    config = config_factory()
-    prepopulate = (
-        prepopulate_factory(config) if prepopulate_factory is not None
-        else None
-    )
-    cache_mode = None if task.cache == "none" else task.cache
+    program_factory, config, prepopulate, op = workload_setup(task.workload)
     result = run_experiment(
-        machine, task.workload, program_factory, config, mode=task.mode,
-        nranks=int(task.scale), day=task.seed,
+        machine_spec(task.machine), task.workload, program_factory, config,
+        mode=task.mode, nranks=int(task.scale), day=task.seed,
         contention=ContentionModel(seed=0), prepopulate=prepopulate, op=op,
-        cache_mode=cache_mode,
+        cache_mode=None if task.cache == "none" else task.cache,
     )
     return asdict(result)
 
 
 def _run_sched_point(task: SweepTask) -> dict:
-    from repro.faults import chaos_config
-    from repro.harness.sched import run_fleet
-    from repro.sched import StreamConfig
-
-    machine = _machine_spec(task.machine)
     cfg = StreamConfig(
         n_jobs=task.jobs, seed=task.seed, mean_interarrival=task.scale,
         rank_choices=(4, 8, 16),
     )
-    # Mix the stream seed into the fault seed (a fixed odd prime keeps
-    # the map injective) so each stream meets its own crash schedule,
-    # yet the pair replays bit-identically.
-    fault = chaos_config(task.fault_rate,
-                         seed=task.fault_seed + 7919 * task.seed)
-    metrics = run_fleet(machine, cfg, task.mode, fault_config=fault,
+    fault = stream_chaos(task.fault_rate, task.fault_seed, task.seed)
+    metrics = run_fleet(machine_spec(task.machine), cfg, task.mode,
+                        fault_config=fault,
                         checkpoint_restart=task.checkpoint)
     return asdict(metrics)
 
@@ -387,12 +353,11 @@ def merged_sweep_points(merged: dict) -> list[SweepPoint]:
 
 def sweepable_grids() -> list[tuple[str, str]]:
     """(name, description) of the grids ``repro sweep`` can enumerate."""
-    from repro.cli import _workload_table
-
     grids = [
         (f"workload:{name}",
-         f"machines x (sync|async) x ranks x seeds — {entry[4]}")
-        for name, entry in sorted(_workload_table().items())
+         f"machines x (sync|async) x ranks x cache modes x seeds — "
+         f"{entry.description}")
+        for name, entry in sorted(WORKLOADS.items())
     ]
     grids.append((
         "sched",

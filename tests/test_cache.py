@@ -514,10 +514,9 @@ def test_cli_cache_parser():
 
     args = build_parser().parse_args(
         ["cache", "--workload", "bdcats", "--tiers", "testbed",
-         "--prefetch", "off", "--seeds", "0", "1"]
+         "--prefetch", "off"]
     )
     assert args.command == "cache"
     assert args.workload == "bdcats"
     assert args.tiers == "testbed"
     assert args.prefetch == "off"
-    assert args.seeds == [0, 1]

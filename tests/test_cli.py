@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -20,6 +22,36 @@ def test_unknown_figure_id_rejected():
 def test_unknown_workload_rejected():
     with pytest.raises(SystemExit):
         main(["run", "--workload", "doom", "--machine", "testbed"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--workload", "vpic", "--ranks", "0"],
+    ["run", "--workload", "vpic", "--ranks", "many"],
+    ["profile", "--workload", "doom"],
+    ["cache", "--ranks", "-8"],
+    ["cache", "--tiers", "floppy"],
+    ["sched", "--jobs", "0"],
+    ["sched", "--fault-rate", "-1"],
+    ["sched", "--load", "nan"],
+    ["sched", "--seeds", "-1"],
+    ["sweep", "--workers", "0"],
+    ["sweep", "--workload", "doom"],
+    ["sweep", "--machines", "nowhere"],
+    ["sweep", "--scales", "0"],
+    ["sweep", "--kind", "sched", "--faults", "-1"],
+    ["sweep", "--kind", "sched", "--cache", "on"],
+    ["sweep", "--faults", "1"],
+    ["check", "--workers", "0"],
+], ids=lambda argv: " ".join(argv))
+def test_invalid_input_exits_2_with_one_line_error(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "error:" in err.strip().splitlines()[-1]
 
 
 def test_run_vpic_on_testbed(capsys):
@@ -64,3 +96,16 @@ def test_profile_command(capsys):
     assert "I/O profile" in out
     assert "I/O-blocked fraction" in out
     assert "async" in out
+
+
+def test_sweep_cache_axis(tmp_path, capsys):
+    out = tmp_path / "cache.json"
+    code = main(["sweep", "--workload", "bdcats", "--modes", "async",
+                 "--scales", "4", "--cache", "off", "on", "--quiet",
+                 "--out", str(out)])
+    assert code == 0
+    text = capsys.readouterr().out
+    assert "cache=off" in text and "cache=on" in text
+    merged = json.loads(out.read_text())
+    assert merged["spec"]["cache"] == ["off", "on"]
+    assert [p["cache"] for p in merged["points"]] == ["off", "on"]

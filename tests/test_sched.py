@@ -612,7 +612,7 @@ def test_cli_sched_command(capsys):
     from repro.cli import main
 
     code = main(["sched", "--policy", "io-aware", "--jobs", "6",
-                 "--load", "4", "--seed", "2"])
+                 "--load", "4", "--seeds", "2"])
     assert code == 0
     out = capsys.readouterr().out
     assert "io-aware" in out and "compl p95" in out

@@ -11,9 +11,14 @@ produce well-formed artifacts.
 """
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.faults import FlakyWriteError
 from repro.harness import sweepengine
 from repro.harness.sweepengine import (
@@ -101,25 +106,59 @@ def test_merged_json_round_trips_and_reduces():
 
 
 def test_crashed_point_is_isolated():
-    # An unknown machine makes its points raise inside the worker; the
-    # testbed points must be unaffected.  This exercises the real
-    # cross-process path (no monkeypatching survives a fork).
-    spec = SweepSpec(
-        kind="workload", workload="vpic", machines=("testbed", "no-such"),
-        modes=("sync",), scales=(4.0,), seeds=(0,),
+    # An unknown machine or workload makes its points raise inside the
+    # worker; every other point must be unaffected, and the pool must
+    # neither die nor hang.  This exercises the real cross-process path
+    # (no monkeypatching survives a fork).
+    cases = [
+        ("vpic", ("testbed", "no-such"), (0,), "no-such"),
+        ("doom", ("testbed",), (0, 1), "doom"),
+    ]
+    for workload, machines, seeds, bad in cases:
+        spec = SweepSpec(
+            kind="workload", workload=workload, machines=machines,
+            modes=("sync",), scales=(4.0,), seeds=seeds,
+        )
+        serial = run_sweep(spec, workers=1)
+        parallel = run_sweep(spec, workers=2)
+        assert serial.to_json() == parallel.to_json()
+        points = serial.merged["points"]
+        bad_points = [p for p in points
+                      if bad in (p["machine"], p["workload"])]
+        assert len(bad_points) == len(seeds)
+        for p in points:
+            if p in bad_points:
+                assert not p["ok"] and p["metrics"] is None
+                assert p["error"]["family"] == "crash"
+                assert p["error"]["kind"] == "ValueError"
+                assert bad in p["error"]["message"]
+            else:
+                assert p["ok"] and p["error"] is None
+        # Failed points contribute no observations downstream.
+        assert len(merged_sweep_points(serial.merged)) == (
+            1 if len(points) > len(bad_points) else 0)
+
+
+def test_harness_does_not_import_the_cli():
+    # The engine resolves names through the harness registry; running a
+    # point (even a failing one) must never pull in the CLI module.
+    script = (
+        "import sys\n"
+        "from repro.harness.sweepengine import SweepSpec, run_sweep, "
+        "sweepable_grids\n"
+        "sweepable_grids()\n"
+        "run_sweep(SweepSpec(workload='doom', seeds=(0,)))\n"
+        "print('repro.cli' in sys.modules)\n"
     )
-    serial = run_sweep(spec, workers=1)
-    parallel = run_sweep(spec, workers=2)
-    assert serial.to_json() == parallel.to_json()
-    ok_point, bad_point = serial.merged["points"]
-    assert ok_point["ok"] and ok_point["error"] is None
-    assert not bad_point["ok"] and bad_point["metrics"] is None
-    assert bad_point["error"]["family"] == "crash"
-    assert bad_point["error"]["kind"] == "ValueError"
-    assert "no-such" in bad_point["error"]["message"]
-    # Failed points contribute no observations downstream.
-    points = merged_sweep_points(serial.merged)
-    assert len(points) == 1
+    src = pathlib.Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert out.stdout.strip() == "False"
+    harness = src / "repro" / "harness"
+    assert not [f.name for f in harness.glob("*.py")
+                if "repro.cli" in f.read_text()]
 
 
 def test_fault_taxonomy_errors_keep_their_class(monkeypatch):
