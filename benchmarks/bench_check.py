@@ -2,14 +2,9 @@
 
 Copies the analyzer's slice of the repository into a scratch tree and
 runs :func:`repro.check.driver.check_paths` (the engine behind
-``repro check --flow --inter [--concurrency]``) as two rows:
-
-- **check_full** — the flow + inter tiers (``--flow --inter``);
-- **check_concurrency** — the same plus the whole-project concurrency
-  tier (``--concurrency``), which adds the lock-set dataflow and the
-  acquisition-order/wait-trigger index on top of the summary pass.
-
-Each row measures four legs:
+``repro check --flow --inter``, the one whole-project mode: every tier,
+including the RC6xx concurrency rules) as one row, **check_full**.
+It measures four legs:
 
 - **cold, 1 worker** and **cold, 4 workers** — empty caches, full
   summary computation, fanned-out lint;
@@ -18,15 +13,16 @@ Each row measures four legs:
 - **diff** — one helper file touched, which must re-analyze only that
   file plus whatever the reverse call graph invalidates.
 
-Gates (per row):
+Gates:
 
 - zero findings (the repo-wide clean gate, same as CI);
 - every leg's findings byte-identical (worker count and cache state
   must not change output);
-- warm speedup (cold / warm wall time) at or above that row's floor in
-  ``benchmarks/perf_budget.json`` — for ``check_concurrency`` this is
-  the budget gate on the tier's warm-cache overhead: a slow warm rerun
-  (i.e. the conc index failing to ride the tree key) sinks the ratio.
+- warm speedup (cold / warm wall time) at or above the ``check_full``
+  floor in ``benchmarks/perf_budget.json``: a warm rerun that misses
+  the tree key (or rebuilds the summaries or the conc index) sinks the
+  ratio;
+- the diff leg re-analyzes fewer than all files.
 
 Results land in ``BENCH_check.json`` at the repository root.
 
@@ -70,12 +66,8 @@ FULL_GLOBS = (
 )
 #: Touched for the ``--diff`` leg (must exist in both shapes).
 TOUCH_FILE = "src/repro/check/callgraph.py"
-
-#: Benchmark rows: budget key -> extra check_paths() kwargs.
-ROWS = (
-    ("check_full", {}),
-    ("check_concurrency", {"concurrency": True}),
-)
+#: The one benchmark row (its budget key in ``perf_budget.json``).
+ROW = "check_full"
 
 
 def _materialize(globs, scratch: pathlib.Path) -> int:
@@ -108,30 +100,33 @@ def load_floor(mode: str, row: str) -> float:
     return budgets[mode][row]
 
 
-def _run_row(paths, row: str, mode: str, extra) -> dict:
-    """Cold/warm legs for one row (the diff leg is added later)."""
-    cold_1w_s, cold_1w = _timed(paths, workers=1,
-                                cache_dir=f".{row}.c1", **extra)
-    cold_4w_s, cold_4w = _timed(paths, workers=4,
-                                cache_dir=f".{row}.c4", **extra)
-    warm_s, warm = _timed(paths, workers=4,
-                          cache_dir=f".{row}.c4", **extra)
+def _run_row(paths, scratch: pathlib.Path, mode: str) -> dict:
+    """Cold, warm and diff legs of the ``check_full`` row."""
+    cold_1w_s, cold_1w = _timed(paths, workers=1, cache_dir=".c1")
+    cold_4w_s, cold_4w = _timed(paths, workers=4, cache_dir=".c4")
+    warm_s, warm = _timed(paths, workers=4, cache_dir=".c4")
     warm_speedup = cold_4w_s / warm_s if warm_s > 0 else float("inf")
+    touched = scratch / TOUCH_FILE
+    touched.write_text(touched.read_text(encoding="utf-8")
+                       + "\n# bench-check diff probe\n",
+                       encoding="utf-8")
+    diff_s, diff = _timed(paths, workers=4, cache_dir=".c4")
+    cold_wire = _wire(cold_4w.findings)
     return {
         "cold_1w_s": round(cold_1w_s, 4),
         "cold_4w_s": round(cold_4w_s, 4),
         "warm_s": round(warm_s, 4),
         "warm_speedup": round(warm_speedup, 2),
-        "warm_speedup_floor": load_floor(mode, row),
+        "warm_speedup_floor": load_floor(mode, ROW),
         "warm_tree_hit": warm.tree_hit,
         "findings": len(cold_4w.findings),
         "identical": {
-            "cold_1w_vs_cold_4w":
-                _wire(cold_1w.findings) == _wire(cold_4w.findings),
-            "cold_vs_warm":
-                _wire(cold_4w.findings) == _wire(warm.findings),
+            "cold_1w_vs_cold_4w": _wire(cold_1w.findings) == cold_wire,
+            "cold_vs_warm": cold_wire == _wire(warm.findings),
+            "cold_vs_diff": cold_wire == _wire(diff.findings),
         },
-        "_cold_wire": _wire(cold_4w.findings),
+        "diff_s": round(diff_s, 4),
+        "diff_reanalyzed": len(diff.analyzed),
     }
 
 
@@ -145,22 +140,7 @@ def run_bench(smoke=False, out=DEFAULT_OUT):
         os.chdir(scratch)  # relative paths -> CLI-identical module names
         paths = ["src", "tests"]
 
-        rows = {row: _run_row(paths, row, mode, extra)
-                for row, extra in ROWS}
-
-        # One shared touch serves every row's diff leg: the warm caches
-        # above were built against the pristine tree.
-        touched = scratch / TOUCH_FILE
-        touched.write_text(touched.read_text(encoding="utf-8")
-                           + "\n# bench-check diff probe\n",
-                           encoding="utf-8")
-        for row, extra in ROWS:
-            diff_s, diff = _timed(paths, workers=4,
-                                  cache_dir=f".{row}.c4", **extra)
-            rows[row]["diff_s"] = round(diff_s, 4)
-            rows[row]["diff_reanalyzed"] = len(diff.analyzed)
-            rows[row]["identical"]["cold_vs_diff"] = (
-                rows[row].pop("_cold_wire") == _wire(diff.findings))
+        rows = {ROW: _run_row(paths, scratch, mode)}
     finally:
         os.chdir(prev_cwd)
         shutil.rmtree(scratch, ignore_errors=True)

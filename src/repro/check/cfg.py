@@ -38,7 +38,8 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterator, List, Optional, Union
 
-__all__ = ["CFG", "CFGNode", "FuncDef", "build_cfg", "iter_functions"]
+__all__ = ["CFG", "CFGNode", "FuncDef", "build_cfg", "dotted",
+           "iter_functions"]
 
 FuncDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
@@ -297,3 +298,16 @@ def iter_functions(tree: ast.AST) -> Iterator[FuncDef]:
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             yield node
+
+
+def dotted(expr: ast.AST) -> Optional[str]:
+    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
+    parts: List[str] = []
+    node = expr
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None

@@ -1,11 +1,11 @@
-"""Interprocedural concurrency analysis for ``repro check --concurrency``.
+"""Interprocedural concurrency analysis (RC6xx) for ``repro check --inter``.
 
 The runtime tier can only observe concurrency bugs on executed paths:
 RT101 races and RT201 reservation leaks are sampled, never proven
 absent, and a static deadlock simply hangs the engine.  This module
 proves the acquire/wait/trigger discipline of the paper's async-VOL
 protocol (SIII-B) *statically*, across function boundaries, using the
-PR 9 summary machinery:
+function-summary machinery of :mod:`repro.check.summaries`:
 
 - every function gets a :class:`ConcEffects` record (carried on its
   :class:`~repro.check.summaries.FunctionSummary`): the lock/wait/
@@ -48,7 +48,7 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (Dict, FrozenSet, Iterator, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
@@ -56,10 +56,15 @@ from repro.check.callgraph import (
     FunctionInfo,
     strongly_connected_components,
 )
-from repro.check.cfg import CFG, CFGNode, FuncDef, build_cfg
+from repro.check.cfg import CFG, CFGNode, FuncDef, build_cfg, dotted
 from repro.check.dataflow import FixpointDiverged, ForwardAnalysis, solve
 from repro.check.domains import UNBOUND, Env
-from repro.check.rules._flowutil import captured_names, dotted, header_exprs
+from repro.check.rules._flowutil import (
+    captured_names,
+    header_exprs,
+    target_names,
+    walk_exprs,
+)
 
 __all__ = [
     "ConcEffects",
@@ -488,15 +493,15 @@ def _stmt_bound_names(node: ast.AST) -> Iterator[str]:
     """Names (re)bound by a non-tokenizing statement."""
     if isinstance(node, ast.Assign):
         for target in node.targets:
-            yield from _target_names(target)
+            yield from target_names(target)
     elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-        yield from _target_names(node.target)
+        yield from target_names(node.target)
     elif isinstance(node, (ast.For, ast.AsyncFor)):
-        yield from _target_names(node.target)
+        yield from target_names(node.target)
     elif isinstance(node, (ast.With, ast.AsyncWith)):
         for item in node.items:
             if item.optional_vars is not None:
-                yield from _target_names(item.optional_vars)
+                yield from target_names(item.optional_vars)
     elif isinstance(node, ast.excepthandler) and node.name:
         yield node.name
     elif isinstance(node, (ast.Global, ast.Nonlocal)):
@@ -504,16 +509,6 @@ def _stmt_bound_names(node: ast.AST) -> Iterator[str]:
     elif isinstance(node, ast.NamedExpr) \
             and isinstance(node.target, ast.Name):
         yield node.target.id
-
-
-def _target_names(target: ast.expr) -> Iterator[str]:
-    if isinstance(target, ast.Name):
-        yield target.id
-    elif isinstance(target, (ast.Tuple, ast.List)):
-        for element in target.elts:
-            yield from _target_names(element)
-    elif isinstance(target, ast.Starred):
-        yield from _target_names(target.value)
 
 
 # ---------------------------------------------------------------------------
@@ -768,7 +763,7 @@ class _SiteActions:
         consumed_calls: Set[int] = set()
         driven_ids: Set[int] = set()
         yielded_names: Dict[int, ast.AST] = {}
-        for sub in _walk(exprs):
+        for sub in walk_exprs(exprs):
             if isinstance(sub, (ast.YieldFrom, ast.Await)) \
                     and isinstance(sub.value, ast.Call):
                 driven_ids.add(id(sub.value))
@@ -785,7 +780,7 @@ class _SiteActions:
                             getattr(value, "lineno", node.line),
                             getattr(value, "col_offset", node.col), True))
 
-        for sub in _walk(exprs):
+        for sub in walk_exprs(exprs):
             if not isinstance(sub, ast.Call) or id(sub) in consumed_calls:
                 continue
             line = getattr(sub, "lineno", node.line)
@@ -959,17 +954,6 @@ class _SiteActions:
             if region is not None:
                 out.append(("write", token, region[0], region[1],
                             line, col))
-
-
-def _walk(exprs: Sequence[ast.expr]) -> Iterator[ast.AST]:
-    """Pre-order walk that skips lambda bodies (they run later)."""
-    stack: List[ast.AST] = list(reversed(list(exprs)))
-    while stack:
-        item = stack.pop()
-        yield item
-        if isinstance(item, ast.Lambda):
-            continue
-        stack.extend(reversed(list(ast.iter_child_nodes(item))))
 
 
 def _map_exit(states: FrozenSet[str]) -> Set[str]:

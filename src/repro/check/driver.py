@@ -1,15 +1,17 @@
 """Incremental, parallel driver for ``repro check --inter``.
 
-The interprocedural tier costs three fixpoint solves per project
-function, so the repo-wide zero-findings CI gate needs the classic
-compiler treatment: cache everything on content hashes, re-analyze only
-what a change can actually affect, and fan the per-file lint out across
-processes.  Three cache levels, all in one JSON file under
-``.repro-check-cache/``:
+This is the one whole-project mode: every tier runs (flat, flow, and
+the inter tier, which includes the RC6xx concurrency rules over the
+project-wide ``ConcIndex``).  The interprocedural tier costs three
+fixpoint solves per project function, so the repo-wide zero-findings
+CI gate needs the classic compiler treatment: cache everything on
+content hashes, re-analyze only what a change can actually affect, and
+fan the per-file lint out across processes.  Three cache levels, all
+in one JSON file under ``.repro-check-cache/``:
 
-1. **Tree key** — hash of every ``(path, content hash)`` pair plus the
-   mode flags.  An unchanged tree returns the stored findings without
-   even parsing: the warm no-op rerun.
+1. **Tree key** — hash of every ``(path, content hash)`` pair.  An
+   unchanged tree returns the stored findings without even parsing:
+   the warm no-op rerun.
 2. **Summary units** — files grouped by the strongly connected
    components of the *file-level* call graph, processed bottom-up.  A
    unit's key hashes its member file contents and the summary digests
@@ -18,9 +20,9 @@ processes.  Three cache levels, all in one JSON file under
    a helper's body without changing its summary and no caller is
    touched; change what it does to its arguments and every transitive
    caller re-keys.
-3. **Per-file findings** — keyed by the file's content hash, the mode
-   flags and the summary digests of every callee the file's calls
-   resolve to.
+3. **Per-file findings** — keyed by the file's content hash, the
+   ``ConcIndex`` digest and the summary digests of every callee the
+   file's calls resolve to.
 
 Output is byte-identical regardless of worker count or cache state:
 files are linted independently (any order), then findings are emitted
@@ -30,6 +32,7 @@ in deterministic file order with a per-file sort — the exact order
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import hashlib
 import json
@@ -55,7 +58,7 @@ from repro.check.summaries import (
 __all__ = ["CheckResult", "check_paths"]
 
 #: Bump to invalidate every cache entry (rule or summary format change).
-CACHE_VERSION = 4
+CACHE_VERSION = 5
 CACHE_FILE = "cache.json"
 
 
@@ -172,75 +175,62 @@ def _summaries_with_cache(
     return recomputed
 
 
-def _file_key(path: str, content_hash: str, flow: bool, inter: bool,
-              concurrency: bool, ctx: Optional[InterContext]) -> str:
-    """Findings cache key: content + flags + resolved-callee digests.
+def _file_key(path: str, content_hash: str, ctx: InterContext) -> str:
+    """Findings cache key: content + resolved-callee digests + the
+    whole-project ``ConcIndex`` digest.
 
-    Under ``--concurrency`` the whole-project ``ConcIndex`` digest
-    joins the key: an RC6xx finding in this file can be produced (or
-    excused) by code with no call-graph edge to it — a cycle-closing
-    acquisition elsewhere, a trigger appearing anywhere — so per-file
-    reuse is only sound while the global verdicts are unchanged."""
+    The conc digest is in the key because an RC6xx finding in this file
+    can be produced (or excused) by code with no call-graph edge to it
+    — a cycle-closing acquisition elsewhere, a trigger appearing
+    anywhere — so per-file reuse is only sound while the global
+    verdicts are unchanged."""
     callee_digests: List[Tuple[str, str]] = []
-    if ctx is not None and path in ctx.trees:
+    if path in ctx.trees:
         view = ctx.own_view(path)
         quals = sorted(set(view.resolver.calls.values()))
         callee_digests = [
             (q, ctx.summaries[q].digest)
             for q in quals if q in ctx.summaries
         ]
-    conc_digest = ""
-    if concurrency and ctx is not None and ctx.conc is not None:
-        conc_digest = ctx.conc.digest
-    return _key_of([CACHE_VERSION, path, content_hash, flow, inter,
-                    concurrency, conc_digest, callee_digests])
+    conc_digest = ctx.conc.digest if ctx.conc is not None else ""
+    return _key_of([CACHE_VERSION, path, content_hash, conc_digest,
+                    callee_digests])
 
 
 # -- worker-side state (fork start method shares it copy-on-write) ----------
 
-_WORKER: Dict[str, object] = {}
+_WORKER: Dict[str, InterContext] = {}
 
 
 def _worker_init(index: ProjectIndex,
                  summaries: Dict[str, FunctionSummary],
-                 flow: bool,
                  prim_attrs: Dict[str, str],
-                 conc: Optional[ConcIndex],
-                 concurrency: bool) -> None:
+                 conc: Optional[ConcIndex]) -> None:
     shim = InterContext(index, {})
     shim.summaries = summaries
     shim.prim_attrs = prim_attrs
     shim.conc = conc
     _WORKER["inter"] = shim
-    _WORKER["flow"] = flow
-    _WORKER["concurrency"] = concurrency
 
 
 def _worker_lint(task: Tuple[str, str]) -> Tuple[str, List[Dict[str, object]]]:
     path, text = task
-    findings = lint_source(text, path=path, flow=bool(_WORKER["flow"]),
-                           inter=_WORKER["inter"],
-                           concurrency=bool(_WORKER["concurrency"]))
+    findings = lint_source(text, path=path, flow=True,
+                           inter=_WORKER["inter"])
     return path, _findings_to_wire(findings)
 
 
 def check_paths(paths: Iterable[Union[str, pathlib.Path]],
-                flow: bool = True,
-                inter: bool = True,
                 workers: Optional[int] = None,
                 cache_dir: Union[str, pathlib.Path] = ".repro-check-cache",
-                use_cache: bool = True,
-                concurrency: bool = False) -> CheckResult:
-    """Incremental interprocedural lint over ``paths``.
+                use_cache: bool = True) -> CheckResult:
+    """Incremental whole-project lint over ``paths``: every tier,
+    RC6xx included.
 
     ``workers`` caps the lint fan-out (``None``/``1`` runs serially —
     the output is byte-identical either way).  ``use_cache=False``
     forces a cold run and still writes a fresh cache.
-    ``concurrency=True`` implies ``inter`` and additionally runs the
-    RC6xx conc tier over the assembled project-wide ``ConcIndex``.
     """
-    if concurrency:
-        inter = True
     cache_path = pathlib.Path(cache_dir)
     files = _iter_python_files(paths)
     order: List[str] = []
@@ -254,8 +244,7 @@ def check_paths(paths: Iterable[Union[str, pathlib.Path]],
     hashes = {p: _hash_text(t) for p, t in texts.items()}
 
     cache = _load_cache(cache_path) if use_cache else {}
-    tree_key = _key_of([CACHE_VERSION, flow, inter, concurrency,
-                        sorted(hashes.items())])
+    tree_key = _key_of([CACHE_VERSION, sorted(hashes.items())])
     tree_entry = cache.get("tree")
     if isinstance(tree_entry, dict) and tree_entry.get("key") == tree_key:
         findings = _findings_from_wire(tree_entry.get("findings", []))
@@ -263,27 +252,22 @@ def check_paths(paths: Iterable[Union[str, pathlib.Path]],
                            stats={"files": len(order), "analyzed": 0,
                                   "units_recomputed": 0})
 
-    ctx: Optional[InterContext] = None
-    units_recomputed = 0
+    trees = {}
+    for posix in order:
+        try:
+            trees[posix] = ast.parse(texts[posix])
+        except SyntaxError:
+            continue  # lint_source reports RC000
+    index = build_index(trees)
+    ctx = InterContext(index, trees)
+    ctx.edges = build_call_graph(index, trees)
+    old_units = cache.get("units")
+    if not isinstance(old_units, dict):
+        old_units = {}
     new_units: Dict[str, Dict[str, Dict[str, object]]] = {}
-    if inter:
-        import ast as ast_mod
-        trees = {}
-        for posix in order:
-            try:
-                trees[posix] = ast_mod.parse(texts[posix])
-            except SyntaxError:
-                continue  # lint_source reports RC000
-        index = build_index(trees)
-        ctx = InterContext(index, trees)
-        ctx.edges = build_call_graph(index, trees)
-        old_units = cache.get("units")
-        if not isinstance(old_units, dict):
-            old_units = {}
-        units_recomputed = _summaries_with_cache(
-            ctx, hashes, old_units, new_units)
-        ctx.conc = build_conc_index(ctx.summaries, ctx.index.functions)
-        flow = True
+    units_recomputed = _summaries_with_cache(
+        ctx, hashes, old_units, new_units)
+    ctx.conc = build_conc_index(ctx.summaries, ctx.index.functions)
 
     old_files = cache.get("files")
     if not isinstance(old_files, dict):
@@ -292,8 +276,7 @@ def check_paths(paths: Iterable[Union[str, pathlib.Path]],
     per_file: Dict[str, List[Finding]] = {}
     pending: List[str] = []
     for posix in order:
-        key = _file_key(posix, hashes[posix], flow, inter, concurrency,
-                        ctx)
+        key = _file_key(posix, hashes[posix], ctx)
         entry = old_files.get(posix)
         if isinstance(entry, dict) and entry.get("key") == key:
             per_file[posix] = _findings_from_wire(entry.get("findings", []))
@@ -304,23 +287,21 @@ def check_paths(paths: Iterable[Union[str, pathlib.Path]],
     if pending:
         tasks = [(posix, texts[posix]) for posix in pending]
         n_workers = workers if workers is not None else 1
-        if n_workers > 1 and len(tasks) > 1 and ctx is not None:
+        if n_workers > 1 and len(tasks) > 1:
             import multiprocessing
 
             mp = multiprocessing.get_context("fork")
             with mp.Pool(
                     processes=min(n_workers, len(tasks)),
                     initializer=_worker_init,
-                    initargs=(ctx.index, ctx.summaries, flow,
-                              ctx.prim_attrs, ctx.conc,
-                              concurrency)) as pool:
+                    initargs=(ctx.index, ctx.summaries, ctx.prim_attrs,
+                              ctx.conc)) as pool:
                 for posix, rows in pool.map(_worker_lint, tasks):
                     per_file[posix] = _findings_from_wire(rows)
         else:
             for posix, text in tasks:
-                per_file[posix] = lint_source(text, path=posix, flow=flow,
-                                              inter=ctx,
-                                              concurrency=concurrency)
+                per_file[posix] = lint_source(text, path=posix, flow=True,
+                                              inter=ctx)
 
     findings: List[Finding] = []
     for posix in order:

@@ -214,19 +214,15 @@ def _orphaned_suppressions(path: str, directives: list[_Directive],
 
 def lint_source(source: str, path: str = "<string>",
                 flow: bool = False,
-                inter: Optional[object] = None,
-                concurrency: bool = False) -> list[Finding]:
+                inter: Optional[object] = None) -> list[Finding]:
     """Lint one file's source text; ``path`` drives rule scoping.
 
     ``flow=True`` additionally runs the flow-sensitive tier (RC4xx
     typestate, RC5xx units) — CFG construction plus a fixpoint per
     function, so it costs more than the flat tier and is opt-in.
     ``inter`` (an :class:`~repro.check.summaries.InterContext`) enables
-    the interprocedural tier: RC405/RC110/RC111 run and the flow rules
-    consult callee summaries instead of the escape hedge.
-    ``concurrency=True`` additionally runs the conc tier (RC6xx) —
-    it needs ``inter`` whose context carries an assembled
-    :class:`~repro.check.concurrency.ConcIndex`.
+    the interprocedural tier: RC405/RC110/RC111 and RC601-RC604 run and
+    the flow rules consult callee summaries instead of the escape hedge.
     """
     path = pathlib.PurePath(path).as_posix()
     lines = source.splitlines()
@@ -241,8 +237,6 @@ def lint_source(source: str, path: str = "<string>",
     file_inter = None
     if inter is not None:
         file_inter = inter.file_view(path, tree)  # type: ignore[attr-defined]
-    conc_ready = (concurrency and file_inter is not None
-                  and getattr(file_inter, "conc", None) is not None)
     ctx = LintContext(path=path, tree=tree, source=source, lines=lines,
                       inter=file_inter)
     raw: List[Tuple[str, int]] = []
@@ -252,8 +246,6 @@ def lint_source(source: str, path: str = "<string>",
         if rule.tier == "flow" and not flow:
             continue
         if rule.tier == "inter" and file_inter is None:
-            continue
-        if rule.tier == "conc" and not conc_ready:
             continue
         if not rule.applies(ctx):
             continue
@@ -285,35 +277,17 @@ def _iter_python_files(paths: Iterable[Union[str, pathlib.Path]]
 
 
 def lint_paths(paths: Iterable[Union[str, pathlib.Path]],
-               flow: bool = False, inter: bool = False,
-               concurrency: bool = False) -> list[Finding]:
-    """Lint every ``*.py`` file under ``paths`` (files or directories).
+               flow: bool = False) -> list[Finding]:
+    """Lint every ``*.py`` file under ``paths`` (files or directories)
+    with the flat tier, plus the flow tier when ``flow`` is set.
 
-    ``inter=True`` implies ``flow`` and builds one project-wide
-    :class:`~repro.check.summaries.InterContext` over all the files
-    first, so the rules see cross-file summaries.
-    ``concurrency=True`` implies ``inter`` and additionally runs the
-    RC6xx conc tier over the assembled ``ConcIndex``.  (The cached
-    parallel variant of this lives in :mod:`repro.check.driver`.)
+    The whole-project inter tier lives in
+    :func:`repro.check.driver.check_paths`.
     """
-    files = _iter_python_files(paths)
-    texts = {fp: fp.read_text(encoding="utf-8") for fp in files}
-    context = None
-    if concurrency:
-        inter = True
-    if inter:
-        from repro.check.summaries import InterContext
-        flow = True
-        context = InterContext.build({
-            pathlib.PurePath(str(fp)).as_posix(): text
-            for fp, text in texts.items()
-        })
     findings: list[Finding] = []
-    for file_path in files:
-        findings.extend(
-            lint_source(texts[file_path], path=str(file_path), flow=flow,
-                        inter=context, concurrency=concurrency)
-        )
+    for file_path in _iter_python_files(paths):
+        text = file_path.read_text(encoding="utf-8")
+        findings.extend(lint_source(text, path=str(file_path), flow=flow))
     return findings
 
 

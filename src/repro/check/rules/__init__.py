@@ -28,16 +28,14 @@ Tiers
 ``"inter"``
     Interprocedural rules (RC405, RC110/RC111) that consult the
     call-graph + function-summary machinery in
-    :mod:`repro.check.callgraph` / :mod:`repro.check.summaries`; run
-    only when the lint context carries an inter view (CLI
-    ``repro check --inter``).  The flow rules also *sharpen* under this
-    tier: handles passed to resolved project functions apply the
-    callee's effect summary instead of the escape hedge.
-``"conc"``
-    Whole-project concurrency rules (RC6xx) over the acquisition-order
-    graph and wait/trigger matching in :mod:`repro.check.concurrency`;
-    run only when the inter view also carries an assembled
-    ``ConcIndex`` (CLI ``repro check --concurrency``).
+    :mod:`repro.check.callgraph` / :mod:`repro.check.summaries`, and
+    the whole-project concurrency rules (RC6xx) over the
+    acquisition-order graph and wait/trigger matching in
+    :mod:`repro.check.concurrency`; run only when the lint context
+    carries an inter view (CLI ``repro check --inter``).  The flow
+    rules also *sharpen* under this tier: handles passed to resolved
+    project functions apply the callee's effect summary instead of the
+    escape hedge.
 
 Adding a rule
 -------------
@@ -113,7 +111,7 @@ class Rule:
     title: str = ""
     hint: str = ""
     scope: str = "repo"  # "repo" | "sim"
-    tier: str = "flat"  # "flat" | "flow"
+    tier: str = "flat"  # "flat" | "flow" | "inter"
 
     def applies(self, ctx: LintContext) -> bool:
         """Whether this rule runs on ``ctx`` at all (scope gate)."""
@@ -162,7 +160,7 @@ def register(rule_cls: Type[Rule]) -> Type[Rule]:
         raise ValueError(f"rule {rule_cls.__name__} lacks id/title/hint")
     if rule.scope not in ("repo", "sim"):
         raise ValueError(f"rule {rule.id}: unknown scope {rule.scope!r}")
-    if rule.tier not in ("flat", "flow", "inter", "conc"):
+    if rule.tier not in ("flat", "flow", "inter"):
         raise ValueError(f"rule {rule.id}: unknown tier {rule.tier!r}")
     if rule.id in RULES:
         raise ValueError(f"duplicate rule id {rule.id}")

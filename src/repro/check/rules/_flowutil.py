@@ -12,30 +12,16 @@ captured variable simply escapes.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set
+from typing import Iterator, List, Set
 
 from repro.check.cfg import CFGNode
 
 __all__ = [
     "captured_names",
-    "dotted",
     "header_exprs",
     "target_names",
     "walk_exprs",
 ]
-
-
-def dotted(expr: ast.AST) -> Optional[str]:
-    """``a.b.c`` for a Name/Attribute chain, else ``None``."""
-    parts: List[str] = []
-    node = expr
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-        return ".".join(reversed(parts))
-    return None
 
 
 def header_exprs(node: CFGNode) -> List[ast.expr]:

@@ -49,13 +49,12 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.check.cfg import CFG, CFGNode
+from repro.check.cfg import CFG, CFGNode, dotted
 from repro.check.dataflow import ForwardAnalysis, solve
 from repro.check.domains import UNBOUND, Env
 from repro.check.rules import FlowRule, LintContext, register
 from repro.check.rules._flowutil import (
     captured_names,
-    dotted,
     header_exprs,
     target_names,
     walk_exprs,

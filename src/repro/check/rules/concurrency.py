@@ -1,4 +1,4 @@
-"""Whole-project concurrency rules (conc tier, RC6xx).
+"""Whole-project concurrency rules (RC6xx, inter tier).
 
 The heavy lifting — the lock-set dataflow, the effect summaries, the
 acquisition-order graph and the wait/trigger matching — lives in
@@ -8,10 +8,9 @@ produces pre-computes every finding with its rule id, so the rule
 classes here are thin per-file filters: that keeps the output
 deterministic no matter how files are sharded across lint workers.
 
-These rules only run when the :class:`LintContext` carries a
-``FileInter`` view whose context has an assembled ``ConcIndex``
-(``repro check --concurrency``); otherwise they are silent and the
-flat/flow/inter tiers are unaffected.
+These rules run with the rest of the inter tier (``repro check
+--inter``), whose context always carries an assembled ``ConcIndex``;
+without one (no inter view) they are silent.
 
 - **RC601** — two lock-kind primitives are acquired in opposite orders
   somewhere in the project (an acquisition-order cycle): two
@@ -45,7 +44,7 @@ class _ConcRule(Rule):
     """Filter the project-wide ``ConcIndex`` down to one file + rule."""
 
     scope = "repo"
-    tier = "conc"
+    tier = "inter"
 
     def check(self, ctx: LintContext) -> Iterator[Violation]:
         conc = getattr(ctx.inter, "conc", None)

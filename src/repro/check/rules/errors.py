@@ -14,8 +14,8 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
+from repro.check.cfg import dotted
 from repro.check.rules import LintContext, Rule, register
-from repro.check.rules.determinism import dotted_name
 
 __all__ = ["BareExceptRule", "GenericRaiseRule", "TaxonomyRule"]
 
@@ -59,7 +59,7 @@ class GenericRaiseRule(Rule):
             exc = node.exc
             if isinstance(exc, ast.Call):
                 exc = exc.func
-            name = dotted_name(exc)
+            name = dotted(exc)
             if name in ("Exception", "BaseException"):
                 yield (node.lineno, node.col_offset,
                        f"raise {name} gives callers nothing specific "
@@ -84,7 +84,7 @@ class TaxonomyRule(Rule):
             if not isinstance(node, ast.ClassDef):
                 continue
             for base in node.bases:
-                name = dotted_name(base)
+                name = dotted(base)
                 if name in ("Exception", "BaseException"):
                     yield (node.lineno, node.col_offset,
                            f"exception class {node.name} derives from "

@@ -48,7 +48,7 @@ from repro.check.callgraph import (
     module_name_for_path,
     strongly_connected_components,
 )
-from repro.check.cfg import CFG, CFGNode, FuncDef, build_cfg
+from repro.check.cfg import CFG, CFGNode, FuncDef, build_cfg, dotted
 from repro.check.concurrency import (
     ConcEffects,
     ConcIndex,
@@ -80,7 +80,6 @@ from repro.check.rules.determinism import (
     _GLOBAL_RANDOM_FNS,
     _WALL_CLOCK_CALLS,
     _WALL_CLOCK_SUFFIXES,
-    dotted_name,
 )
 from repro.check.rules.units import (
     _UnitsAnalysis,
@@ -142,7 +141,7 @@ class FunctionSummary:
     #: ``param:<i>`` pass-through tokens.
     return_taint: FrozenSet[str]
     #: Concurrency effect set (lock/wait/trigger ops, acquisition
-    #: pairs, spawned-task writes) for the ``--concurrency`` tier.
+    #: pairs, spawned-task writes) for the RC6xx rules.
     conc: ConcEffects = EMPTY_CONC
 
     def to_dict(self) -> Dict[str, object]:
@@ -225,7 +224,7 @@ _CLOCK_SUFFIXES = tuple("." + s for s in _WALL_CLOCK_SUFFIXES)
 
 def _call_source_taint(call: ast.Call) -> FrozenSet[str]:
     """Taint introduced directly by one call (RC101/RC102 tables)."""
-    name = dotted_name(call.func)
+    name = dotted(call.func)
     if name is None:
         return frozenset()
     out: Set[str] = set()

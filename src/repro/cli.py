@@ -391,32 +391,38 @@ def _cmd_check(args) -> int:
     paths = args.paths or [p for p in ("src", "tests")
                            if pathlib.Path(p).exists()]
     if not paths:
-        raise SystemExit("no paths to check (run from the repo root, or "
-                         "pass files/directories explicitly)")
+        args.error("no paths to check (run from the repo root, or pass "
+                   "files/directories explicitly)")
     if args.stats:
         from repro.check import suppression_stats
 
         stats = suppression_stats(paths)
         print(json.dumps(stats, indent=2, sort_keys=True))
         return 0
-    if args.inter or args.concurrency:
+    if args.diff and not args.inter:
+        args.error("--diff requires --inter (the incremental cache records "
+                   "what changed)")
+    known: Optional[set] = None
+    if args.baseline:
+        try:
+            known = set(json.loads(
+                pathlib.Path(args.baseline).read_text(encoding="utf-8")
+            ).get("fingerprints", []))
+        except (OSError, ValueError) as err:
+            args.error(f"--baseline: cannot read {args.baseline}: {err}")
+
+    if args.inter:
         from repro.check import check_paths
 
-        result = check_paths(paths, flow=True, inter=True,
-                             workers=args.workers,
-                             cache_dir=args.cache_dir,
-                             concurrency=args.concurrency)
+        result = check_paths(paths, workers=args.workers,
+                             cache_dir=args.cache_dir)
         findings = result.diff_findings() if args.diff else result.findings
         mode = "tree-hit" if result.tree_hit else (
             f"{result.stats.get('analyzed', 0)}/"
             f"{result.stats.get('files', 0)} files re-analyzed")
         if args.format == "text":
-            tier = "conc tier" if args.concurrency else "inter tier"
-            print(f"{tier}: {mode}", file=sys.stderr)
+            print(f"inter tier: {mode}", file=sys.stderr)
     else:
-        if args.diff:
-            raise SystemExit("--diff requires --inter (the incremental "
-                             "cache records what changed)")
         findings = lint_paths(paths, flow=args.flow)
 
     if args.update_baseline:
@@ -429,14 +435,7 @@ def _cmd_check(args) -> int:
         print(f"baseline: {len(payload['fingerprints'])} fingerprint(s) "
               f"recorded in {args.update_baseline}", file=sys.stderr)
         return 0
-    if args.baseline:
-        try:
-            known = set(json.loads(
-                pathlib.Path(args.baseline).read_text(encoding="utf-8")
-            ).get("fingerprints", []))
-        except (OSError, ValueError) as err:
-            raise SystemExit(f"--baseline: cannot read {args.baseline}: "
-                             f"{err}")
+    if known is not None:
         suppressed = sum(1 for f in findings if f.fingerprint in known)
         findings = [f for f in findings if f.fingerprint not in known]
         if args.format == "text":
@@ -687,18 +686,14 @@ def build_parser() -> argparse.ArgumentParser:
                               "async-API typestate, RC5xx unit "
                               "consistency): CFG + fixpoint per function")
     p_check.add_argument("--inter", action="store_true",
-                         help="also run the interprocedural tier (implies "
+                         help="whole-project analysis, every tier (implies "
                               "--flow): call graph + function summaries "
                               "sharpen RC4xx/RC5xx and enable "
-                              "RC405/RC110/RC111; incremental via "
+                              "RC405/RC110/RC111 plus the concurrency rules "
+                              "RC601-RC604 (deadlock cycles, lost wakeups, "
+                              "unsynchronized region writes, claim/release "
+                              "imbalance); incremental via "
                               ".repro-check-cache/")
-    p_check.add_argument("--concurrency", action="store_true",
-                         help="also run the static concurrency tier "
-                              "(implies --inter): RC601 deadlock cycles, "
-                              "RC602 lost wakeups, RC603 unsynchronized "
-                              "region writes, RC604 claim/release "
-                              "imbalance over the project-wide "
-                              "acquisition graph")
     p_check.add_argument("--baseline", default=None, metavar="FILE",
                          help="suppress findings whose fingerprint is "
                               "recorded in FILE (JSON written by "
@@ -733,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also run the runtime checker gate: the "
                               "pipeline must stay byte-identical under "
                               "instrumentation with zero race/leak findings")
-    p_check.set_defaults(func=_cmd_check)
+    p_check.set_defaults(func=_cmd_check, error=p_check.error)
     return parser
 
 

@@ -102,6 +102,11 @@ def run_experiment(
     enables deadline prefetch (program factories accepting ``cache`` /
     ``prefetch`` keyword arguments get them passed through).
     """
+    if nranks < 1:
+        raise ValueError(f"nranks must be >= 1, got {nranks!r}")
+    if ranks_per_node is not None and ranks_per_node < 1:
+        raise ValueError(
+            f"ranks_per_node must be >= 1 or None, got {ranks_per_node!r}")
     if cache_mode is not None and cache_mode not in CACHE_MODES:
         raise ValueError(
             f"cache_mode must be one of {CACHE_MODES} or None, "

@@ -14,19 +14,18 @@ Four layers, mirroring the implementation:
   inherited across a call vs try/finally;
 - fingerprints and the ``--baseline`` CLI mode: stable across pure
   line shifts, carried in JSON and SARIF, regressions-only filtering;
-- the repo-wide gate: ``repro check --flow --inter --concurrency``
-  reports zero findings over this repository, worker-count invariant.
+- the driver and the CLI: RC6xx findings ride the ``--inter`` cache
+  and are worker-count invariant (the repo-wide zero-findings gate for
+  the whole inter tier, RC6xx included, lives in
+  ``tests/test_check_inter.py``).
 """
 
 import json
-import pathlib
 import textwrap
 
-from repro.check import lint_source, render_findings
+from repro.check import lint_source
 from repro.check.lint import findings_to_json, findings_to_sarif
 from repro.check.summaries import InterContext
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: Conc rules are repo-scoped; module names derive from these paths.
 SIM_PATH = "src/repro/sim/fixture.py"
@@ -40,7 +39,7 @@ def build(files):
 def conc_lint(files, path):
     ctx = build(files)
     return lint_source(textwrap.dedent(files[path]), path, flow=True,
-                       inter=ctx, concurrency=True)
+                       inter=ctx)
 
 
 def rule_ids(findings):
@@ -358,19 +357,12 @@ def test_rc602_justified_suppression_for_deliberate_leak_fixture():
 
 
 # ---------------------------------------------------------------------------
-# tier gating: conc rules only run when asked (and able)
+# tier gating: conc rules need the whole-project inter context
 # ---------------------------------------------------------------------------
-
-def test_conc_rules_are_silent_without_the_concurrency_flag():
-    ctx = build(RC601_BAD)
-    findings = lint_source(textwrap.dedent(RC601_BAD[SIM_PATH]),
-                           SIM_PATH, flow=True, inter=ctx)
-    assert findings == []
-
 
 def test_conc_rules_are_silent_without_an_inter_context():
     findings = lint_source(textwrap.dedent(RC601_BAD[SIM_PATH]),
-                           SIM_PATH, flow=True, concurrency=True)
+                           SIM_PATH, flow=True)
     assert findings == []
 
 
@@ -442,7 +434,7 @@ def test_cli_baseline_suppresses_known_and_reports_regressions(
 
 
 # ---------------------------------------------------------------------------
-# driver: cache keys, invalidation, worker invariance under --concurrency
+# driver and CLI: cache keys, invalidation, worker invariance
 # ---------------------------------------------------------------------------
 
 CONC_HELPER_SRC = """\
@@ -482,10 +474,10 @@ def test_driver_concurrency_cold_warm_and_fix_invalidation(
     from repro.check.driver import check_paths
 
     _conc_project(tmp_path, monkeypatch)
-    cold = check_paths(["pkg"], cache_dir=".cache", concurrency=True)
+    cold = check_paths(["pkg"], cache_dir=".cache")
     assert not cold.tree_hit
     assert rule_ids(cold.findings) == ["RC604"]
-    warm = check_paths(["pkg"], cache_dir=".cache", concurrency=True)
+    warm = check_paths(["pkg"], cache_dir=".cache")
     assert warm.tree_hit
     assert wire(warm.findings) == wire(cold.findings)
     # Balancing the helper must invalidate the caller's RC604 even
@@ -500,21 +492,8 @@ def test_driver_concurrency_cold_warm_and_fix_invalidation(
             "            raise ValueError(\"empty\")\n"
             "    finally:\n"
             "        sem.release()\n"))
-    fixed = check_paths(["pkg"], cache_dir=".cache", concurrency=True)
+    fixed = check_paths(["pkg"], cache_dir=".cache")
     assert fixed.findings == []
-
-
-def test_driver_concurrency_cache_is_distinct_from_inter(
-        tmp_path, monkeypatch):
-    # The same tree linted without --concurrency must not serve its
-    # cached (conc-free) findings to a --concurrency run.
-    from repro.check.driver import check_paths
-
-    _conc_project(tmp_path, monkeypatch)
-    plain = check_paths(["pkg"], cache_dir=".cache")
-    assert plain.findings == []
-    conc = check_paths(["pkg"], cache_dir=".cache", concurrency=True)
-    assert rule_ids(conc.findings) == ["RC604"]
 
 
 def test_driver_concurrency_output_is_worker_count_invariant(
@@ -523,27 +502,21 @@ def test_driver_concurrency_output_is_worker_count_invariant(
 
     _conc_project(tmp_path, monkeypatch)
     serial = check_paths(["pkg"], cache_dir=".c1", workers=1,
-                         use_cache=False, concurrency=True)
+                         use_cache=False)
     fanout = check_paths(["pkg"], cache_dir=".c4", workers=4,
-                         use_cache=False, concurrency=True)
+                         use_cache=False)
     assert wire(serial.findings) == wire(fanout.findings)
     assert rule_ids(serial.findings) == ["RC604"]
 
 
-# ---------------------------------------------------------------------------
-# the repo-wide gate: zero findings under the concurrency tier
-# ---------------------------------------------------------------------------
+def test_cli_inter_reports_conc_findings(tmp_path, monkeypatch, capsys):
+    # ``repro check --inter`` is the one whole-project mode: RC6xx
+    # findings come with it, and gate the exit code like any other.
+    from repro.cli import main
 
-def test_repo_is_clean_under_concurrency_tier(monkeypatch):
-    """Acceptance gate: the conc index assembles over the whole project
-    and RC601-RC604 report nothing."""
-    from repro.check.driver import check_paths
-
-    # Same invocation shape as ``repro check --flow --inter
-    # --concurrency`` so the test and the CLI share one incremental
-    # cache.
-    monkeypatch.chdir(REPO_ROOT)
-    result = check_paths(["src", "tests"],
-                         cache_dir=".repro-check-cache",
-                         concurrency=True)
-    assert result.findings == [], render_findings(result.findings)
+    _conc_project(tmp_path, monkeypatch)
+    assert main(["check", "--inter", "--cache-dir", ".cache", "pkg"]) == 1
+    captured = capsys.readouterr()
+    assert "pkg/caller.py:" in captured.out
+    assert " RC604 " in captured.out
+    assert "inter tier: 3/3 files re-analyzed" in captured.err

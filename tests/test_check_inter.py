@@ -562,12 +562,13 @@ def test_driver_output_is_worker_count_invariant(project):
 
 
 # ---------------------------------------------------------------------------
-# the repo-wide gate: zero findings under the inter tier
+# the repo-wide gate: zero findings under the whole-project mode
 # ---------------------------------------------------------------------------
 
 def test_repo_is_clean_under_inter_tier(monkeypatch):
-    """Acceptance gate: summaries converge over the whole project and
-    the interprocedural tier reports nothing new."""
+    """Acceptance gate: summaries converge over the whole project, the
+    conc index assembles, and the inter tier (RC405/RC110/RC111 and
+    RC601-RC604) reports nothing new."""
     from repro.check.driver import check_paths
 
     # Same invocation shape as ``repro check --flow --inter`` so the

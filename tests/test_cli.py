@@ -42,6 +42,9 @@ def test_unknown_workload_rejected():
     ["sweep", "--kind", "sched", "--cache", "on"],
     ["sweep", "--faults", "1"],
     ["check", "--workers", "0"],
+    ["check", "--concurrency"],
+    ["check", "--diff"],
+    ["check", "--baseline", "no-such-baseline.json"],
 ], ids=lambda argv: " ".join(argv))
 def test_invalid_input_exits_2_with_one_line_error(argv, capsys):
     try:
@@ -52,6 +55,18 @@ def test_invalid_input_exits_2_with_one_line_error(argv, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "error:" in err.strip().splitlines()[-1]
+
+
+def test_check_with_no_paths_exits_2(tmp_path, monkeypatch, capsys):
+    # No src/ or tests/ under the working directory and no paths given
+    # is a usage error, not "findings found" (exit 1).
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = main(["check"])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    assert "repro check: error: no paths to check" in capsys.readouterr().err
 
 
 def test_run_vpic_on_testbed(capsys):

@@ -56,6 +56,21 @@ def test_run_experiment_contention_applied():
     assert r.peak_bandwidth < clean.peak_bandwidth
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"nranks": 0}, "nranks"),
+    ({"nranks": -4}, "nranks"),
+    ({"nranks": 8, "ranks_per_node": 0}, "ranks_per_node"),
+    ({"nranks": 8, "ranks_per_node": -1}, "ranks_per_node"),
+], ids=["nranks=0", "nranks=-4", "ranks_per_node=0", "ranks_per_node=-1"])
+def test_run_experiment_rejects_bad_rank_counts(kwargs, name):
+    # Rejected before the engine or cluster is built: a one-line
+    # ValueError naming the argument, not an allocator error from deep
+    # in the platform layer (or a silent fallback to the default).
+    with pytest.raises(ValueError, match=f"^{name} must be >= 1"):
+        run_experiment(MACHINE, "vpic", vpic_program, SMALL, mode="sync",
+                       **kwargs)
+
+
 def test_scale_sweep_grid_complete():
     results = scale_sweep(
         MACHINE, "vpic", vpic_program, lambda n: SMALL,
