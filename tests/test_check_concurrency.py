@@ -14,18 +14,21 @@ Four layers, mirroring the implementation:
   inherited across a call vs try/finally;
 - fingerprints and the ``--baseline`` CLI mode: stable across pure
   line shifts, carried in JSON and SARIF, regressions-only filtering;
-- the driver and the CLI: RC6xx findings ride the ``--inter`` cache
-  and are worker-count invariant (the repo-wide zero-findings gate for
-  the whole inter tier, RC6xx included, lives in
+- the driver and the CLI: RC6xx findings ride the ``--inter`` cache,
+  are worker-count invariant, and the project itself carries none (the
+  repo-wide zero-findings gate for the whole inter tier lives in
   ``tests/test_check_inter.py``).
 """
 
 import json
+import pathlib
 import textwrap
 
-from repro.check import lint_source
+from repro.check import lint_source, render_findings
 from repro.check.lint import findings_to_json, findings_to_sarif
 from repro.check.summaries import InterContext
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: Conc rules are repo-scoped; module names derive from these paths.
 SIM_PATH = "src/repro/sim/fixture.py"
@@ -520,3 +523,17 @@ def test_cli_inter_reports_conc_findings(tmp_path, monkeypatch, capsys):
     assert "pkg/caller.py:" in captured.out
     assert " RC604 " in captured.out
     assert "inter tier: 3/3 files re-analyzed" in captured.err
+
+
+def test_repo_is_clean_under_concurrency_tier(monkeypatch):
+    """Acceptance gate: the conc index assembles over the whole project
+    and RC601-RC604 report nothing."""
+    from repro.check.driver import check_paths
+
+    # Same invocation shape as ``repro check --flow --inter`` so the
+    # test and the CLI share one incremental cache.
+    monkeypatch.chdir(REPO_ROOT)
+    result = check_paths(["src", "tests"],
+                         cache_dir=".repro-check-cache")
+    conc = [f for f in result.findings if f.rule_id.startswith("RC6")]
+    assert conc == [], render_findings(conc)
