@@ -176,7 +176,7 @@ def _cmd_figures(args) -> int:
     ids = args.ids or _FIGURE_IDS
     unknown = [i for i in ids if i not in _FIGURE_MAKERS]
     if unknown:
-        raise SystemExit(f"unknown figure ids: {unknown}; try 'list'")
+        args.error(f"unknown figure ids: {unknown}; try 'list'")
     out_dir = pathlib.Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -551,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fig.add_argument("--out", help="directory to write tables into")
     p_fig.add_argument("--plot", action="store_true",
                        help="also render an ASCII chart per figure")
-    p_fig.set_defaults(func=_cmd_figures)
+    p_fig.set_defaults(func=_cmd_figures, error=p_fig.error)
 
     p_mb = sub.add_parser("microbench", help="run §III-B1 micro-benchmarks")
     p_mb.add_argument("--profile", choices=["quick", "paper"], default=None)

@@ -19,8 +19,8 @@ paper-style bottom line: the **data-loss window** (kill time minus the
 moment the last durable checkpoint landed) and **goodput** (useful
 compute seconds per wall-clock second across kill + restart).
 :func:`recovery_sweep` runs the sync-vs-async comparison across fault
-rates — the ``fig_faults`` figure and ``benchmarks/bench_faults.py``
-both sit on top of it.  Everything is deterministic per seed: the sweep
+rates — the ``fig_faults`` figure and the ``faults`` suite of
+``benchmarks/bench_gates.py`` both sit on top of it.  Everything is deterministic per seed: the sweep
 also returns each run's fault-trace signature so CI can gate on
 replay-identity.
 """

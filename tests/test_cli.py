@@ -25,6 +25,7 @@ def test_unknown_workload_rejected():
 
 
 @pytest.mark.parametrize("argv", [
+    ["figures", "fig99"],
     ["run", "--workload", "vpic", "--ranks", "0"],
     ["run", "--workload", "vpic", "--ranks", "many"],
     ["profile", "--workload", "doom"],
