@@ -9,7 +9,7 @@ drives the shape.
 
 import dataclasses
 
-from repro.harness import best_by_config, scale_sweep
+from repro.harness import run_experiment
 from repro.harness.report import FigureData
 from repro.platform import summit
 from repro.workloads import CastroConfig, castro_program
@@ -26,12 +26,13 @@ def _machine_without_efficiency():
 
 
 def _sweep(machine):
+    """Sync peak bandwidth (GB/s) per scale, one uncontended run each."""
     cfg = CastroConfig(n_plotfiles=2)
-    results = scale_sweep(
-        machine, "castro", castro_program, lambda n: cfg,
-        scales=SCALES, modes=("sync",), reps=1,
-    )
-    return best_by_config(results)
+    return {
+        n: run_experiment(machine, "castro", castro_program, cfg,
+                          mode="sync", nranks=n, op="write").peak_gbs
+        for n in SCALES
+    }
 
 
 def test_ablation_size_dependent_efficiency(benchmark, save_figure):
@@ -46,8 +47,7 @@ def test_ablation_size_dependent_efficiency(benchmark, save_figure):
         "client efficiency (strong scaling)",
         columns=["ranks", "with eff GB/s", "without eff GB/s"],
     )
-    w = {p.nranks: p.peak_gbs for p in with_eff}
-    wo = {p.nranks: p.peak_gbs for p in without_eff}
+    w, wo = with_eff, without_eff
     for n in SCALES:
         fig.add_row(n, w[n], wo[n])
     save_figure(fig)

@@ -11,11 +11,11 @@ which asynchronous I/O starts to pay off.
 Run:  python examples/vpic_campaign.py        (~1 minute)
 """
 
-from repro.platform import ContentionModel, summit
+from repro.platform import summit
 from repro.analysis import fit_sweep_points
-from repro.harness import best_by_config, scale_sweep
 from repro.harness.report import FigureData
-from repro.workloads import VPICConfig, vpic_program
+from repro.harness.sweepengine import SweepSpec, merged_sweep_points, run_sweep
+from repro.workloads import VPICConfig
 
 SCALES = [96, 192, 384, 768]
 REPS = 2
@@ -27,12 +27,12 @@ def main() -> None:
     print(f"VPIC-IO on simulated {machine.name}: "
           f"{config.bytes_per_rank_per_step() / 2**20:.0f} MiB/rank/step, "
           f"{config.steps} steps, ranks {SCALES} x {REPS} days each ...")
-    results = scale_sweep(
-        machine, "vpic-io", vpic_program, lambda n: config,
-        scales=SCALES, reps=REPS,
-        contention=ContentionModel(seed=7, median_load=0.15),
-    )
-    points = best_by_config(results)
+    outcome = run_sweep(SweepSpec(
+        workload="vpic", machines=("summit",), scales=tuple(SCALES),
+        seeds=tuple(range(REPS)), contention=(7, 0.15),
+        config=(("steps", config.steps),),
+    ))
+    points = merged_sweep_points(outcome.merged)
     fits = {m: fit_sweep_points(points, m) for m in ("sync", "async")}
 
     table = FigureData(

@@ -17,7 +17,7 @@ from repro.model.estimators import IORateModel
 from repro.model.history import MeasurementHistory
 
 if TYPE_CHECKING:  # pragma: no cover - avoid harness<->analysis cycle
-    from repro.harness.sweep import SweepPoint
+    from repro.harness.sweepengine import SweepPoint
 
 __all__ = ["FittedSeries", "fit_sweep_points"]
 

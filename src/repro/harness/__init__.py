@@ -15,7 +15,6 @@ qualitative shape (saturation points scale accordingly).
 """
 
 from repro.harness.experiment import ExperimentResult, build_vol, run_experiment
-from repro.harness.sweep import SweepPoint, best_by_config, scale_sweep
 from repro.harness.report import FigureData
 from repro.harness.store import load_results, save_results
 from repro.harness.recovery import (
@@ -25,6 +24,7 @@ from repro.harness.recovery import (
     run_recovery,
 )
 from repro.harness.sched import FleetMetrics, run_fleet, sched_testbed
+from repro.harness.sweepengine import SweepPoint, best_by_config
 from repro.harness import figures
 
 __all__ = [
@@ -43,6 +43,5 @@ __all__ = [
     "run_fleet",
     "run_recovery",
     "save_results",
-    "scale_sweep",
     "sched_testbed",
 ]

@@ -2,7 +2,9 @@
 
 Each ``fig*`` function runs the corresponding sweep on the simulated
 machine, fits the Eq. 4 model for the dotted "estimated" series, and
-returns a :class:`~repro.harness.report.FigureData`.
+returns a :class:`~repro.harness.report.FigureData`.  The best-of-days
+grids (Figs. 3-6 and 8) are one
+:class:`~repro.harness.sweepengine.SweepSpec` each.
 
 Two scale profiles exist (``REPRO_PROFILE`` or the ``profile=``
 argument):
@@ -16,31 +18,16 @@ argument):
 from __future__ import annotations
 
 import os
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.platform import ContentionModel, cori_haswell, summit
-from repro.platform.spec import MachineSpec
+from repro.platform import cori_haswell, summit
 from repro.analysis import fit_sweep_points, variability_stats
 from repro.harness.experiment import run_experiment
 from repro.harness.report import FigureData
-from repro.harness.sweep import best_by_config, scale_sweep
+from repro.harness.sweepengine import SweepSpec, merged_sweep_points, run_sweep
 from repro.model import EpochCosts, app_time
 from repro.model.microbench import gpu_transfer_microbench, memcpy_microbench
-from repro.workloads import (
-    BDCATSConfig,
-    CastroConfig,
-    CosmoflowConfig,
-    NyxConfig,
-    SW4Config,
-    VPICConfig,
-    bdcats_program,
-    castro_program,
-    cosmoflow_program,
-    nyx_program,
-    prepopulate_vpic_file,
-    sw4_program,
-    vpic_program,
-)
+from repro.workloads import NyxConfig, nyx_program
 
 __all__ = [
     "all_figures",
@@ -72,6 +59,8 @@ _SCALES = {
 }
 _REPS = {"quick": 2, "paper": 5}
 _STEPS = {"quick": 3, "paper": 5}
+#: Fig. 8's (ranks, days) per profile: one scale observed across days.
+_FIG8 = {"quick": (768, 6), "paper": (3072, 10)}
 
 
 def resolve_profile(profile: Optional[str] = None) -> str:
@@ -82,32 +71,47 @@ def resolve_profile(profile: Optional[str] = None) -> str:
     return profile
 
 
-def _contention(seed: int) -> ContentionModel:
-    # Mild baseline contention so repetitions across "days" differ.
-    return ContentionModel(seed=seed, median_load=0.15, sigma=0.5)
+def _run_grid(name: str, spec: SweepSpec) -> dict:
+    """Run one figure's grid serially; any failed point fails the figure.
+
+    A figure plots best-of-days peaks, so a crashed day would silently
+    plot a best-of-fewer; raise instead, naming the point and its error.
+    """
+    merged = run_sweep(spec).merged
+    for p in merged["points"]:
+        if not p["ok"]:
+            err = p["error"]
+            raise RuntimeError(
+                f"{name}: point {p['index']} ({p['machine']} {p['mode']} "
+                f"scale {p['scale']:g} seed {p['seed']}) failed: "
+                f"{err['kind']}: {err['message']}"
+            )
+    return merged
 
 
 def _bandwidth_figure(
     name: str,
     title: str,
-    machine: MachineSpec,
-    workload_name: str,
-    program_factory: Callable,
-    config_factory: Callable[[int], object],
+    machine: str,
+    workload: str,
+    config: dict,
     scales: Sequence[int],
     reps: int,
-    op: str = "write",
-    prepopulate_factory: Optional[Callable] = None,
-    seed: int = 0,
+    seed: int,
 ) -> FigureData:
-    """Shared sweep → fit → table pipeline for Figs. 3-6."""
-    results = scale_sweep(
-        machine, workload_name, program_factory, config_factory,
-        scales=scales, modes=("sync", "async"), reps=reps,
-        contention=_contention(seed), prepopulate_factory=prepopulate_factory,
-        op=op,
-    )
-    points = best_by_config(results)
+    """Shared sweep → fit → table pipeline for Figs. 3-6.
+
+    ``machine`` and ``workload`` are registry names; ``config``
+    overrides fields of the registered workload config.  Each
+    repetition is a contention day under mild baseline load, so
+    repetitions differ.
+    """
+    merged = _run_grid(name, SweepSpec(
+        workload=workload, machines=(machine,), scales=tuple(scales),
+        seeds=tuple(range(reps)), contention=(seed, 0.15, 0.5),
+        config=tuple(config.items()),
+    ))
+    points = merged_sweep_points(merged)
     fits = {mode: fit_sweep_points(points, mode) for mode in ("sync", "async")}
     fig = FigureData(
         name=name,
@@ -141,51 +145,42 @@ def _bandwidth_figure(
 def fig3a(profile: Optional[str] = None) -> FigureData:
     """VPIC-IO write bandwidth on Summit (weak scaling, sync vs async)."""
     p = resolve_profile(profile)
-    cfg = VPICConfig(steps=_STEPS[p])
     return _bandwidth_figure(
         "fig3a", "VPIC-IO write aggregate bandwidth, Summit (weak scaling)",
-        summit(), "vpic-io", vpic_program, lambda nranks: cfg,
-        scales=_SCALES[("summit", p)], reps=_REPS[p], op="write", seed=31,
+        "summit", "vpic", {"steps": _STEPS[p]},
+        scales=_SCALES[("summit", p)], reps=_REPS[p], seed=31,
     )
 
 
 def fig3b(profile: Optional[str] = None) -> FigureData:
     """VPIC-IO write bandwidth on Cori-Haswell."""
     p = resolve_profile(profile)
-    cfg = VPICConfig(steps=_STEPS[p])
     return _bandwidth_figure(
         "fig3b", "VPIC-IO write aggregate bandwidth, Cori-Haswell (weak scaling)",
-        cori_haswell(), "vpic-io", vpic_program, lambda nranks: cfg,
-        scales=_SCALES[("cori", p)], reps=_REPS[p], op="write", seed=32,
-    )
-
-
-def _bdcats_figure(name: str, machine: MachineSpec, scales, reps, seed,
-                   profile: str) -> FigureData:
-    cfg = BDCATSConfig(steps=_STEPS[profile])
-    return _bandwidth_figure(
-        name, f"BD-CATS-IO read aggregate bandwidth, {machine.name} (weak scaling)",
-        machine, "bdcats-io", bdcats_program, lambda nranks: cfg,
-        scales=scales, reps=reps, op="read",
-        prepopulate_factory=lambda config: (
-            lambda lib, nranks: prepopulate_vpic_file(lib, config, nranks)
-        ),
-        seed=seed,
+        "cori", "vpic", {"steps": _STEPS[p]},
+        scales=_SCALES[("cori", p)], reps=_REPS[p], seed=32,
     )
 
 
 def fig3c(profile: Optional[str] = None) -> FigureData:
     """BD-CATS-IO read bandwidth on Summit."""
     p = resolve_profile(profile)
-    return _bdcats_figure("fig3c", summit(), _SCALES[("summit", p)],
-                          _REPS[p], seed=33, profile=p)
+    return _bandwidth_figure(
+        "fig3c", "BD-CATS-IO read aggregate bandwidth, summit (weak scaling)",
+        "summit", "bdcats", {"steps": _STEPS[p]},
+        scales=_SCALES[("summit", p)], reps=_REPS[p], seed=33,
+    )
 
 
 def fig3d(profile: Optional[str] = None) -> FigureData:
     """BD-CATS-IO read bandwidth on Cori-Haswell."""
     p = resolve_profile(profile)
-    return _bdcats_figure("fig3d", cori_haswell(), _SCALES[("cori", p)],
-                          _REPS[p], seed=34, profile=p)
+    return _bandwidth_figure(
+        "fig3d", "BD-CATS-IO read aggregate bandwidth, cori-haswell "
+                 "(weak scaling)",
+        "cori", "bdcats", {"steps": _STEPS[p]},
+        scales=_SCALES[("cori", p)], reps=_REPS[p], seed=34,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -198,48 +193,44 @@ def fig4a(profile: Optional[str] = None) -> FigureData:
     p = resolve_profile(profile)
     # Nyx runs GPU-accelerated on Summit (§V-A.3): writes include the
     # device→host transfer.
-    cfg = NyxConfig.large(n_plotfiles=_STEPS[p], use_gpu=True)
     return _bandwidth_figure(
         "fig4a", "Nyx large (2048^3, GPU) write aggregate bandwidth, Summit "
                  "(strong scaling)",
-        summit(), "nyx-large", nyx_program, lambda nranks: cfg,
-        scales=_SCALES[("summit-sat", p)], reps=_REPS[p], op="write", seed=41,
+        "summit", "nyx-large", {"n_plotfiles": _STEPS[p], "use_gpu": True},
+        scales=_SCALES[("summit-sat", p)], reps=_REPS[p], seed=41,
     )
 
 
 def fig4b(profile: Optional[str] = None) -> FigureData:
     """Nyx small (256³) plotfile bandwidth on Cori-Haswell."""
     p = resolve_profile(profile)
-    cfg = NyxConfig.small(n_plotfiles=_STEPS[p])
     return _bandwidth_figure(
         "fig4b", "Nyx small (256^3) write aggregate bandwidth, Cori-Haswell "
                  "(strong scaling)",
-        cori_haswell(), "nyx-small", nyx_program, lambda nranks: cfg,
-        scales=_SCALES[("cori", p)], reps=_REPS[p], op="write", seed=42,
+        "cori", "nyx-small", {"n_plotfiles": _STEPS[p]},
+        scales=_SCALES[("cori", p)], reps=_REPS[p], seed=42,
     )
 
 
 def fig4c(profile: Optional[str] = None) -> FigureData:
     """Castro plotfile bandwidth on Summit (strong scaling)."""
     p = resolve_profile(profile)
-    cfg = CastroConfig(n_plotfiles=_STEPS[p])
     return _bandwidth_figure(
         "fig4c", "Castro (128^3, 6 comps, 2 particles/cell) write aggregate "
                  "bandwidth, Summit (strong scaling)",
-        summit(), "castro", castro_program, lambda nranks: cfg,
-        scales=_SCALES[("summit-app", p)], reps=_REPS[p], op="write", seed=43,
+        "summit", "castro", {"n_plotfiles": _STEPS[p]},
+        scales=_SCALES[("summit-app", p)], reps=_REPS[p], seed=43,
     )
 
 
 def fig4d(profile: Optional[str] = None) -> FigureData:
     """Castro plotfile bandwidth on Cori-Haswell."""
     p = resolve_profile(profile)
-    cfg = CastroConfig(n_plotfiles=_STEPS[p])
     return _bandwidth_figure(
         "fig4d", "Castro write aggregate bandwidth, Cori-Haswell "
                  "(strong scaling)",
-        cori_haswell(), "castro", castro_program, lambda nranks: cfg,
-        scales=_SCALES[("cori-app", p)], reps=_REPS[p], op="write", seed=44,
+        "cori", "castro", {"n_plotfiles": _STEPS[p]},
+        scales=_SCALES[("cori-app", p)], reps=_REPS[p], seed=44,
     )
 
 
@@ -251,30 +242,23 @@ def fig4d(profile: Optional[str] = None) -> FigureData:
 def fig5(profile: Optional[str] = None) -> FigureData:
     """Cosmoflow batch-read bandwidth on Summit (4 training epochs)."""
     p = resolve_profile(profile)
-    cfg = CosmoflowConfig(
-        epochs=2 if p == "quick" else 4,
-        batches_per_rank=4 if p == "quick" else 8,
-    )
     return _bandwidth_figure(
         "fig5", "Cosmoflow batch read aggregate bandwidth, Summit",
-        summit(), "cosmoflow", cosmoflow_program, lambda nranks: cfg,
-        scales=_SCALES[("summit-app", p)], reps=_REPS[p], op="read",
-        prepopulate_factory=lambda config: (
-            lambda lib, nranks: config.prepopulate(lib, nranks)
-        ),
-        seed=50,
+        "summit", "cosmoflow",
+        {"epochs": 2 if p == "quick" else 4,
+         "batches_per_rank": 4 if p == "quick" else 8},
+        scales=_SCALES[("summit-app", p)], reps=_REPS[p], seed=50,
     )
 
 
 def fig6(profile: Optional[str] = None) -> FigureData:
     """EQSIM/SW4 checkpoint bandwidth on Summit (strong scaling)."""
     p = resolve_profile(profile)
-    cfg = SW4Config(n_checkpoints=_STEPS[p])
     return _bandwidth_figure(
         "fig6", "EQSIM (SW4, grid 50, 30000x30000x17000) checkpoint aggregate "
                 "bandwidth, Summit (strong scaling)",
-        summit(), "eqsim-sw4", sw4_program, lambda nranks: cfg,
-        scales=_SCALES[("summit-sat", p)], reps=_REPS[p], op="write", seed=60,
+        "summit", "sw4", {"n_checkpoints": _STEPS[p]},
+        scales=_SCALES[("summit-sat", p)], reps=_REPS[p], seed=60,
     )
 
 
@@ -361,11 +345,15 @@ def fig7(profile: Optional[str] = None) -> FigureData:
 def fig8(profile: Optional[str] = None) -> FigureData:
     """VPIC-IO on Summit across days: sync varies, async stays flat."""
     p = resolve_profile(profile)
-    days = 6 if p == "quick" else 10
-    nranks = 768 if p == "quick" else 3072
-    cfg = VPICConfig(steps=_STEPS[p])
-    machine = summit()
-    contention = ContentionModel(seed=80, median_load=0.6, sigma=0.8)
+    nranks, days = _FIG8[p]
+    merged = _run_grid("fig8", SweepSpec(
+        workload="vpic", machines=("summit",), scales=(nranks,),
+        seeds=tuple(range(days)), contention=(80, 0.6, 0.8),
+        config=(("steps", _STEPS[p]),),
+    ))
+    by_mode: dict[str, list[dict]] = {"sync": [], "async": []}
+    for point in merged["points"]:  # (mode, day) order
+        by_mode[point["mode"]].append(point["metrics"])
 
     fig = FigureData(
         name="fig8",
@@ -373,21 +361,11 @@ def fig8(profile: Optional[str] = None) -> FigureData:
               f"({nranks} ranks)",
         columns=["day", "availability", "sync GB/s", "async GB/s"],
     )
-    sync_obs, async_obs = [], []
-    for day in range(days):
-        row = [day]
-        availability = contention.availability(day)
-        row.append(availability)
-        for mode, obs in (("sync", sync_obs), ("async", async_obs)):
-            result = run_experiment(
-                machine, "vpic-io", vpic_program, cfg, mode=mode,
-                nranks=nranks, day=day, contention=contention, op="write",
-            )
-            obs.append(result.peak_bandwidth)
-            row.append(result.peak_bandwidth / GB)
-        fig.add_row(*row)
-    s = variability_stats(sync_obs)
-    a = variability_stats(async_obs)
+    for day, (sm, am) in enumerate(zip(by_mode["sync"], by_mode["async"])):
+        fig.add_row(day, sm["availability"], sm["peak_bandwidth"] / GB,
+                    am["peak_bandwidth"] / GB)
+    s = variability_stats([m["peak_bandwidth"] for m in by_mode["sync"]])
+    a = variability_stats([m["peak_bandwidth"] for m in by_mode["async"]])
     fig.meta["sync CV"] = s.cv
     fig.meta["async CV"] = a.cv
     fig.meta["sync max/min"] = s.spread_ratio

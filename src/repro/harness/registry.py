@@ -8,6 +8,7 @@ sweep, never a process exit.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, NamedTuple, Optional
 
 from repro.harness.sched import sched_testbed
@@ -96,15 +97,18 @@ def machine_spec(name: str) -> MachineSpec:
     return _lookup(MACHINES, "machine", name)()
 
 
-def workload_setup(name: str):
+def workload_setup(name: str, overrides=()):
     """``(program_factory, config, prepopulate, op)`` for a workload.
 
-    ``config`` is freshly built; ``prepopulate`` is ready to hand to
+    ``config`` is freshly built, with ``overrides`` (a dict or
+    ``(field, value)`` pairs) applied by :func:`dataclasses.replace`;
+    an unknown field raises :class:`TypeError`.  ``prepopulate`` is
+    built from that config, ready to hand to
     :func:`~repro.harness.experiment.run_experiment` (``None`` for write
     workloads).
     """
     entry = _lookup(WORKLOADS, "workload", name)
-    config = entry.config()
+    config = replace(entry.config(), **dict(overrides))
     prepopulate = (entry.prepopulate(config)
                    if entry.prepopulate is not None else None)
     return entry.program, config, prepopulate, entry.op

@@ -2,13 +2,16 @@
 
 The paper's variability claims (§V-A.1, Fig. 8) rest on many cheap,
 reproducible runs — "each configuration at least 5 times across
-multiple days".  :mod:`repro.harness.sweep` models one such grid
-in-process; this module turns a declarative (machine × mode × scale ×
-seed) grid into independent tasks, fans them across
-``multiprocessing`` workers, and merges the results into a JSON
-artifact that is **byte-identical for every worker count** — so a
-4-worker sweep can be diffed against a 1-worker run (or yesterday's
-artifact) with ``cmp``.
+multiple days" — and plot "the peak measured aggregate bandwidth" of
+each configuration.  This module is the one path for such grids: it
+turns a declarative (machine × mode × scale × seed) grid into
+independent tasks, fans them across ``multiprocessing`` workers, and
+merges the results into a JSON artifact that is **byte-identical for
+every worker count** — so a 4-worker sweep can be diffed against a
+1-worker run (or yesterday's artifact) with ``cmp``.
+:func:`merged_sweep_points` / :func:`best_by_config` reduce the seeds
+(contention days) to the best observation per (mode, scale), the
+quantity every bandwidth figure plots.
 
 Design rules that make that guarantee hold:
 
@@ -39,15 +42,16 @@ from repro.faults import FaultError
 from repro.harness.experiment import ExperimentResult, run_experiment
 from repro.harness.registry import WORKLOADS, machine_spec, workload_setup
 from repro.harness.sched import run_fleet, stream_chaos
-from repro.harness.sweep import SweepPoint, best_by_config
 from repro.platform import ContentionModel
 from repro.sched import StreamConfig
 
 __all__ = [
     "PointResult",
     "SweepOutcome",
+    "SweepPoint",
     "SweepSpec",
     "SweepTask",
+    "best_by_config",
     "expand_grid",
     "merged_results",
     "merged_sweep_points",
@@ -96,6 +100,14 @@ class SweepSpec:
     #: :func:`~repro.harness.experiment.run_experiment` ``cache_mode``
     #: (``"none"`` maps to no subsystem — the default, zero-cost-off).
     cache: tuple[str, ...] = ("none",)
+    #: Positional arguments of every point's
+    #: :class:`~repro.platform.ContentionModel` (``kind="workload"``
+    #: only); the seed axis picks the day.
+    contention: tuple[float, ...] = (0,)
+    #: ``(field, value)`` overrides of the registered workload config
+    #: (``kind="workload"`` only; see
+    #: :func:`~repro.harness.registry.workload_setup`).
+    config: tuple[tuple[str, object], ...] = ()
 
     def __post_init__(self) -> None:
         if self.kind not in ("workload", "sched"):
@@ -104,6 +116,18 @@ class SweepSpec:
             )
         if self.kind == "workload" and any(f > 0 for f in self.faults):
             raise ValueError("the fault axis applies to kind='sched' only")
+        if self.kind == "workload":
+            bad = [s for s in self.scales
+                   if s < 1 or not float(s).is_integer()]
+            if bad:
+                raise ValueError(
+                    f"workload scales are rank counts: integers >= 1, "
+                    f"got {bad}"
+                )
+        if self.kind == "sched" and (self.config
+                                     or tuple(self.contention) != (0,)):
+            raise ValueError(
+                "contention and config apply to kind='workload' only")
         if any(f < 0 for f in self.faults):
             raise ValueError("fault rates must be non-negative")
         valid_cache = ("none", "off", "write", "on")
@@ -146,6 +170,9 @@ class SweepTask:
     checkpoint: bool = True
     #: Staging-cache mode of this point (``"none"`` = no subsystem).
     cache: str = "none"
+    #: :class:`SweepSpec` ``contention`` and ``config``, per point.
+    contention: tuple[float, ...] = (0,)
+    config: tuple[tuple[str, object], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -202,17 +229,21 @@ def expand_grid(spec: SweepSpec) -> list[SweepTask]:
                                 fault_seed=spec.fault_seed,
                                 checkpoint=spec.checkpoint,
                                 cache=cache,
+                                contention=spec.contention,
+                                config=spec.config,
                             ))
                             index += 1
     return tasks
 
 
 def _run_workload_point(task: SweepTask) -> dict:
-    program_factory, config, prepopulate, op = workload_setup(task.workload)
+    program_factory, config, prepopulate, op = workload_setup(
+        task.workload, task.config)
     result = run_experiment(
         machine_spec(task.machine), task.workload, program_factory, config,
         mode=task.mode, nranks=int(task.scale), day=task.seed,
-        contention=ContentionModel(seed=0), prepopulate=prepopulate, op=op,
+        contention=ContentionModel(*task.contention),
+        prepopulate=prepopulate, op=op,
         cache_mode=None if task.cache == "none" else task.cache,
     )
     return asdict(result)
@@ -329,20 +360,63 @@ def merged_results(merged: dict) -> list[PointResult]:
                 fault_seed=spec.get("fault_seed", 0),
                 checkpoint=spec.get("checkpoint", True),
                 cache=p.get("cache", "none"),
+                contention=tuple(spec.get("contention", (0,))),
+                config=tuple(tuple(kv) for kv in spec.get("config", ())),
             ),
         ))
     return out
+
+
+@dataclass(frozen=True)
+class SweepPoint:
+    """Best-of-repetitions summary at one (mode, scale) grid point."""
+
+    mode: str
+    nranks: int
+    nnodes: int
+    peak_bandwidth: float
+    mean_app_time: float
+    all_peaks: tuple[float, ...]  # per-day observations (Fig. 8 raw data)
+    total_bytes: float
+    n_phases: int
+
+    @property
+    def peak_gbs(self) -> float:
+        """Peak aggregate bandwidth in GB/s."""
+        return self.peak_bandwidth / 1e9
+
+
+def best_by_config(results: Sequence[ExperimentResult]) -> list[SweepPoint]:
+    """Reduce repetitions to the paper's plotted best-of-runs points."""
+    grid: dict[tuple[str, int], list[ExperimentResult]] = {}
+    for r in results:
+        grid.setdefault((r.mode, r.nranks), []).append(r)
+    points = []
+    for (mode, nranks), runs in sorted(grid.items(), key=lambda kv: (kv[0][0],
+                                                                     kv[0][1])):
+        peaks = tuple(r.peak_bandwidth for r in runs)
+        points.append(SweepPoint(
+            mode=mode,
+            nranks=nranks,
+            nnodes=runs[0].nnodes,
+            peak_bandwidth=max(peaks),
+            mean_app_time=sum(r.app_time for r in runs) / len(runs),
+            all_peaks=peaks,
+            total_bytes=runs[0].total_bytes,
+            n_phases=runs[0].n_phases,
+        ))
+    return points
 
 
 def merged_sweep_points(merged: dict) -> list[SweepPoint]:
     """Reduce a merged *workload* sweep to the paper's plotted points.
 
     Reconstructs :class:`~repro.harness.experiment.ExperimentResult`
-    rows from the successful points and funnels them through the
-    existing :func:`~repro.harness.sweep.best_by_config`, so downstream
-    figure code consumes engine output unchanged.  Failed points are
-    skipped — a crashed day simply contributes no observation, the
-    same as a lost batch job.
+    rows from the successful points and funnels them through
+    :func:`best_by_config`.  Failed points are skipped — a crashed day
+    simply contributes no observation, the same as a lost batch job;
+    callers that must not plot a partial best-of (the figures) check
+    every point's ``ok`` first.
     """
     results = []
     for p in merged["points"]:

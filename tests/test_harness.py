@@ -8,12 +8,13 @@ from repro.platform import ContentionModel
 from repro.platform import testbed as make_testbed
 from repro.analysis import fit_sweep_points, variability_stats
 from repro.harness import (
+    ExperimentResult,
     FigureData,
     best_by_config,
     build_vol,
     run_experiment,
-    scale_sweep,
 )
+from repro.harness.sweepengine import SweepSpec, run_sweep
 from repro.harness.figures import resolve_profile
 from repro.workloads import VPICConfig, vpic_program
 
@@ -21,6 +22,16 @@ Mi = 1 << 20
 
 MACHINE = make_testbed(nodes=16, ranks_per_node=4, pfs_peak=30e9, nic=8e9)
 SMALL = VPICConfig(particles_per_rank=Mi, steps=2, compute_seconds=5.0)
+
+
+def _grid(scales, modes=("sync", "async"), reps=1, contention=None):
+    """(scale x mode x day) VPIC runs of SMALL on the unregistered
+    MACHINE, so straight through run_experiment."""
+    return [
+        run_experiment(MACHINE, "vpic", vpic_program, SMALL, mode=mode,
+                       nranks=n, day=day, contention=contention, op="write")
+        for n in scales for mode in modes for day in range(reps)
+    ]
 
 
 def test_build_vol_modes():
@@ -71,26 +82,25 @@ def test_run_experiment_rejects_bad_rank_counts(kwargs, name):
                        **kwargs)
 
 
-def test_scale_sweep_grid_complete():
-    results = scale_sweep(
-        MACHINE, "vpic", vpic_program, lambda n: SMALL,
-        scales=[4, 8], modes=("sync", "async"), reps=2,
-    )
+def test_sweep_grid_complete():
+    # The registry's testbed, with SMALL's fields as config overrides.
+    outcome = run_sweep(SweepSpec(
+        machines=("testbed",), scales=(4, 8), seeds=(0, 1),
+        config=(("particles_per_rank", Mi), ("steps", 2),
+                ("compute_seconds", 5.0)),
+    ))
+    results = [ExperimentResult(**p["metrics"])
+               for p in outcome.merged["points"]]
     assert len(results) == 2 * 2 * 2
+    assert all(r.total_bytes == SMALL.total_bytes(r.nranks) for r in results)
     assert {(r.mode, r.nranks, r.day) for r in results} == {
         (m, n, d) for m in ("sync", "async") for n in (4, 8) for d in (0, 1)
     }
-    with pytest.raises(ValueError):
-        scale_sweep(MACHINE, "w", vpic_program, lambda n: SMALL, scales=[4],
-                    reps=0)
 
 
 def test_best_by_config_takes_max():
-    results = scale_sweep(
-        MACHINE, "vpic", vpic_program, lambda n: SMALL,
-        scales=[4, 8], modes=("sync",), reps=2,
-        contention=ContentionModel(seed=2, median_load=1.0),
-    )
+    results = _grid([4, 8], modes=("sync",), reps=2,
+                    contention=ContentionModel(seed=2, median_load=1.0))
     points = best_by_config(results)
     assert len(points) == 2
     for p in points:
@@ -100,10 +110,7 @@ def test_best_by_config_takes_max():
 
 def test_sweep_weak_scaling_shapes():
     """On the testbed, async grows linearly while sync saturates."""
-    results = scale_sweep(
-        MACHINE, "vpic", vpic_program, lambda n: SMALL,
-        scales=[8, 16, 32, 64], modes=("sync", "async"), reps=1,
-    )
+    results = _grid([8, 16, 32, 64])
     points = best_by_config(results)
     sync = {p.nranks: p.peak_bandwidth for p in points if p.mode == "sync"}
     async_ = {p.nranks: p.peak_bandwidth for p in points if p.mode == "async"}
@@ -117,10 +124,7 @@ def test_sweep_weak_scaling_shapes():
 
 
 def test_fit_sweep_points_model_quality():
-    results = scale_sweep(
-        MACHINE, "vpic", vpic_program, lambda n: SMALL,
-        scales=[8, 16, 32, 64], modes=("sync", "async"), reps=1,
-    )
+    results = _grid([8, 16, 32, 64])
     points = best_by_config(results)
     fit_async = fit_sweep_points(points, "async")
     assert fit_async.r2 > 0.9  # paper: async r2 above 90%
@@ -168,10 +172,7 @@ def test_resolve_profile():
 
 def test_results_save_load_roundtrip(tmp_path):
     from repro.harness import load_results, save_results
-    results = scale_sweep(
-        MACHINE, "vpic", vpic_program, lambda n: SMALL,
-        scales=[4], modes=("sync",), reps=2,
-    )
+    results = _grid([4], modes=("sync",), reps=2)
     path = save_results(results, tmp_path / "campaign.json")
     loaded = load_results(path)
     assert loaded == results
@@ -208,11 +209,8 @@ def test_profile_scales_consistent():
 
 def test_fit_uses_every_days_observation():
     """The regression sees all repetitions, not just the best-of points."""
-    results = scale_sweep(
-        MACHINE, "vpic", vpic_program, lambda n: SMALL,
-        scales=[8, 16, 32], modes=("sync",), reps=3,
-        contention=ContentionModel(seed=11, median_load=1.0),
-    )
+    results = _grid([8, 16, 32], modes=("sync",), reps=3,
+                    contention=ContentionModel(seed=11, median_load=1.0))
     points = best_by_config(results)
     for p in points:
         assert len(p.all_peaks) == 3

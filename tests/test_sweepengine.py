@@ -59,6 +59,19 @@ def test_expand_grid_canonical_order_and_indices():
 def test_spec_rejects_unknown_kind():
     with pytest.raises(ValueError, match="kind"):
         SweepSpec(kind="nonsense")
+    # Workload scales are rank counts: rejected at the spec, not run as
+    # int(8.5) ranks under a recorded 8.5, or crashed inside a worker.
+    for scales in [(8.5,), (0.5,), (0,), (-4,), (4, 8.25)]:
+        with pytest.raises(ValueError, match=r"^workload scales are rank "
+                                             r"counts: integers >= 1, got"):
+            SweepSpec(kind="workload", scales=scales)
+    SweepSpec(kind="workload", scales=(4.0, 8))
+    # Sched scales are interarrival gaps, so fractions stay legal there.
+    SweepSpec(kind="sched", scales=(0.5,))
+    for field in [{"config": (("steps", 2),)}, {"contention": (5, 2.0)}]:
+        with pytest.raises(ValueError, match="^contention and config apply "
+                                             "to kind='workload' only$"):
+            SweepSpec(kind="sched", **field)
 
 
 def test_run_sweep_rejects_zero_workers():
@@ -98,6 +111,28 @@ def test_merged_json_round_trips_and_reduces():
     }
     for p in points:
         assert p.peak_bandwidth > 0
+    # Artifacts written before the contention/config fields still load,
+    # with the defaults those runs used.
+    for key in ("contention", "config"):
+        del merged["spec"][key]
+    tasks = [r.task for r in merged_results(merged)]
+    assert {(t.contention, t.config) for t in tasks} == {((0,), ())}
+
+
+def test_contention_and_config_reach_every_point():
+    spec = SweepSpec(
+        kind="workload", workload="vpic", machines=("testbed",),
+        modes=("sync",), scales=(4.0,), seeds=(0, 1),
+        contention=(5, 2.0), config=(("steps", 1),),
+    )
+    assert all(t.contention == (5, 2.0) and t.config == (("steps", 1),)
+               for t in expand_grid(spec))
+    points = run_sweep(spec).merged["points"]
+    assert all(p["ok"] for p in points)
+    assert all(p["metrics"]["n_phases"] == 1 for p in points)
+    assert all(p["metrics"]["availability"] < 1.0 for p in points)
+    assert points[0]["metrics"]["availability"] != \
+        points[1]["metrics"]["availability"]
 
 
 # ---------------------------------------------------------------------------
