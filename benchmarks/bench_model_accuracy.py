@@ -1,11 +1,9 @@
 """§V-C model accuracy: r² of the Eq. 4 fits and advisor quality.
 
-Paper claims asserted:
-
-- "we have observed a strong linear correlation (r² values above 80%
-  for synchronous I/O and 90% for asynchronous I/O)";
-- linear-log regression captures the saturating sync write scaling;
-- the Advisor's predicted epoch times match the simulated epochs.
+Writes ``benchmarks/results/model-acc.txt``, whose r² bands ("r² values
+above 80% for synchronous I/O and 90% for asynchronous I/O") and fit
+transforms ``tests/test_paper_claims.py`` checks.  Asserted here: the
+epoch model with the fitted rates orders sync vs async correctly.
 """
 
 import pytest
@@ -25,14 +23,14 @@ SCALES = [96, 192, 384, 768, 1536]
 
 
 def _sweep():
-    # Uncontended, so every day observes the same peak: the fit sees
-    # each scale twice, as the paper's history holds repeated runs.
+    # Uncontended, so every day observes the same peak: one day per
+    # scale is the whole history.
     cfg = VPICConfig(steps=3)
     machine = summit()
     results = [
         run_experiment(machine, "vpic-io", vpic_program, cfg, mode=mode,
-                       nranks=nranks, day=day, op="write")
-        for nranks in SCALES for mode in ("sync", "async") for day in (0, 1)
+                       nranks=nranks, op="write")
+        for nranks in SCALES for mode in ("sync", "async")
     ]
     return cfg, best_by_config(results)
 
@@ -54,12 +52,6 @@ def test_model_accuracy(benchmark, save_figure):
         ]
         fig.add_row(mode, fit.transform, fit.r2, 100 * max(rel_errs))
     save_figure(fig)
-
-    # Paper's r² bands
-    assert fits["sync"].r2 > 0.8
-    assert fits["async"].r2 > 0.9
-    assert fits["sync"].transform == "linear-log"
-    assert fits["async"].transform == "linear"
 
     # Epoch-model prediction vs simulated epoch structure: for the
     # largest scale, Eq. 2a/2b with the fitted rates must predict the

@@ -1,9 +1,10 @@
 """Shared fixtures for the benchmark suite.
 
-Every benchmark regenerates one of the paper's figures and persists the
-table under ``benchmarks/results/`` so the regenerated data survives the
-pytest run (stdout is captured).  Figures also print, so ``pytest -s``
-shows them live.
+Each ablation, co-tenant and model-accuracy benchmark regenerates one
+table and persists it under ``benchmarks/results/`` so the regenerated
+data survives the pytest run (stdout is captured).  Tables also print,
+so ``pytest -s`` shows them live.  The figure tables there are written
+by ``repro figures --out benchmarks/results``.
 """
 
 import os

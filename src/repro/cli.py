@@ -79,31 +79,7 @@ _POLICIES = ["fifo", "backfill", "io-aware"]
 #: Micro-benchmark ids (a subset of the figure makers, listed apart).
 _MICROBENCH_IDS = ["mb-memcpy", "mb-gpu"]
 
-_FIGURE_IDS = [
-    "fig3a", "fig3b", "fig3c", "fig3d",
-    "fig4a", "fig4b", "fig4c", "fig4d",
-    "fig5", "fig6", "fig7", "fig8",
-    "fig-faults", "fig-sched",
-] + _MICROBENCH_IDS
-
-_FIGURE_MAKERS = {
-    "fig3a": figures_mod.fig3a,
-    "fig3b": figures_mod.fig3b,
-    "fig3c": figures_mod.fig3c,
-    "fig3d": figures_mod.fig3d,
-    "fig4a": figures_mod.fig4a,
-    "fig4b": figures_mod.fig4b,
-    "fig4c": figures_mod.fig4c,
-    "fig4d": figures_mod.fig4d,
-    "fig5": figures_mod.fig5,
-    "fig6": figures_mod.fig6,
-    "fig7": figures_mod.fig7,
-    "fig8": figures_mod.fig8,
-    "fig-faults": figures_mod.fig_faults,
-    "fig-sched": figures_mod.fig_sched,
-    "mb-memcpy": figures_mod.microbench_memcpy,
-    "mb-gpu": figures_mod.microbench_gpu,
-}
+_FIGURE_MAKERS = figures_mod.FIGURES
 
 
 def _checked(cast, low, strict: bool):
@@ -135,7 +111,7 @@ _non_negative_float = _checked(float, 0, strict=False)
 def _cmd_list(_args) -> int:
     width = 11
     print("figures:")
-    for fid in _FIGURE_IDS:
+    for fid in _FIGURE_MAKERS:
         if fid in _MICROBENCH_IDS:
             continue
         doc = (_FIGURE_MAKERS[fid].__doc__ or "").strip().splitlines()[0]
@@ -173,7 +149,7 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_figures(args) -> int:
-    ids = args.ids or _FIGURE_IDS
+    ids = args.ids or list(_FIGURE_MAKERS)
     unknown = [i for i in ids if i not in _FIGURE_MAKERS]
     if unknown:
         args.error(f"unknown figure ids: {unknown}; try 'list'")

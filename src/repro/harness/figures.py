@@ -18,7 +18,7 @@ argument):
 from __future__ import annotations
 
 import os
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.platform import cori_haswell, summit
 from repro.analysis import fit_sweep_points, variability_stats
@@ -30,7 +30,7 @@ from repro.model.microbench import gpu_transfer_microbench, memcpy_microbench
 from repro.workloads import NyxConfig, nyx_program
 
 __all__ = [
-    "all_figures",
+    "FIGURES", "all_figures",
     "fig3a", "fig3b", "fig3c", "fig3d",
     "fig4a", "fig4b", "fig4c", "fig4d",
     "fig5", "fig6", "fig7", "fig8",
@@ -59,8 +59,15 @@ _SCALES = {
 }
 _REPS = {"quick": 2, "paper": 5}
 _STEPS = {"quick": 3, "paper": 5}
+#: Fig. 7's (total steps, plotfile intervals, ranks) per profile.
+_FIG7 = {
+    "quick": (48, [1, 2, 4, 8, 16, 48], 128),
+    "paper": (192, [1, 3, 6, 12, 24, 48, 96, 192], 512),
+}
 #: Fig. 8's (ranks, days) per profile: one scale observed across days.
 _FIG8 = {"quick": (768, 6), "paper": (3072, 10)}
+#: The scheduling table's jobs per stream, per profile.
+_SCHED_JOBS = {"quick": 25, "paper": 60}
 
 
 def resolve_profile(profile: Optional[str] = None) -> str:
@@ -275,11 +282,7 @@ def fig7(profile: Optional[str] = None) -> FigureData:
     from the Eq. 1/2 model with costs measured on the *largest*
     interval's runs (the model's history-driven workflow).
     """
-    p = resolve_profile(profile)
-    total_steps = 48 if p == "quick" else 192
-    intervals = ([1, 2, 4, 8, 16, 48] if p == "quick"
-                 else [1, 3, 6, 12, 24, 48, 96, 192])
-    nranks = 128 if p == "quick" else 512
+    total_steps, intervals, nranks = _FIG7[resolve_profile(profile)]
     machine = cori_haswell()
     # Short steps relative to the plotfile cost, so checkpoint frequency
     # visibly stretches the synchronous duration (the Fig. 7 regime).
@@ -428,8 +431,7 @@ def fig_sched(profile: Optional[str] = None) -> FigureData:
     from repro.harness.sched import run_fleet, sched_testbed
     from repro.sched import StreamConfig
 
-    p = resolve_profile(profile)
-    n_jobs = 25 if p == "quick" else 60
+    n_jobs = _SCHED_JOBS[resolve_profile(profile)]
     loads = (2.0, 4.0)
     machine = sched_testbed()
     fig = FigureData(
@@ -492,9 +494,17 @@ def microbench_gpu(profile: Optional[str] = None) -> FigureData:
     return fig
 
 
+#: Every figure maker by figure id, in listing order; the id is the
+#: ``name`` of the table the maker returns.
+FIGURES: dict[str, Callable[[Optional[str]], FigureData]] = {
+    "fig3a": fig3a, "fig3b": fig3b, "fig3c": fig3c, "fig3d": fig3d,
+    "fig4a": fig4a, "fig4b": fig4b, "fig4c": fig4c, "fig4d": fig4d,
+    "fig5": fig5, "fig6": fig6, "fig7": fig7, "fig8": fig8,
+    "fig-faults": fig_faults, "fig-sched": fig_sched,
+    "mb-memcpy": microbench_memcpy, "mb-gpu": microbench_gpu,
+}
+
+
 def all_figures(profile: Optional[str] = None) -> dict[str, FigureData]:
     """Regenerate every evaluation figure; keyed by figure id."""
-    makers = [fig3a, fig3b, fig3c, fig3d, fig4a, fig4b, fig4c, fig4d,
-              fig5, fig6, fig7, fig8, fig_faults, fig_sched,
-              microbench_memcpy, microbench_gpu]
-    return {fig.name: fig for fig in (m(profile) for m in makers)}
+    return {fid: make(profile) for fid, make in FIGURES.items()}

@@ -1,12 +1,15 @@
 """Smoke tests for the figure-generation plumbing at toy scales.
 
-The real sweeps run in the benchmark suite; here the scale tables are
-patched down so the full sweep → fit → table pipeline is exercised in
+The quick-profile tables are regenerated by ``repro figures --out
+benchmarks/results`` (CI diffs them against the stored copies, and
+``tests/test_paper_claims.py`` checks the paper's claims on them); here
+the profile tables are patched down so every figure's pipeline runs in
 seconds, keeping the figure code covered by ``pytest tests/``.
 
-Each figure's table at these scales is also pinned by the sha256 of its
-``to_text()`` in ``tests/golden/figures_tiny.json``, so a refactor that
-changes what a figure computes fails here, not in a manual diff.
+Each of the 16 figure tables at these scales is also pinned by the
+sha256 of its ``to_text()`` in ``tests/golden/figures_tiny.json``, so a
+refactor that changes what a figure computes fails here, not in a
+manual diff.
 """
 
 import hashlib
@@ -31,7 +34,9 @@ def tiny_scales(monkeypatch):
     monkeypatch.setitem(figures._SCALES, ("cori-app", "quick"), [32, 64])
     monkeypatch.setitem(figures._REPS, "quick", 1)
     monkeypatch.setitem(figures._STEPS, "quick", 2)
+    monkeypatch.setitem(figures._FIG7, "quick", (8, [1, 2, 8], 16))
     monkeypatch.setitem(figures._FIG8, "quick", (24, 3))
+    monkeypatch.setitem(figures._SCHED_JOBS, "quick", 4)
 
 
 def _check_golden(fig, fid):
@@ -70,9 +75,10 @@ def test_fig5_pipeline(tiny_scales):
 
 
 @pytest.mark.parametrize("fid", ["fig3b", "fig3c", "fig4a", "fig4b",
-                                 "fig4d", "fig8"])
+                                 "fig4d", "fig8", "fig7", "fig-sched",
+                                 "fig-faults", "mb-memcpy", "mb-gpu"])
 def test_figure_matches_golden(tiny_scales, fid):
-    _check_golden(getattr(figures, fid)("quick"), fid)
+    _check_golden(figures.FIGURES[fid]("quick"), fid)
 
 
 def test_failed_point_fails_the_figure():
@@ -84,10 +90,3 @@ def test_failed_point_fails_the_figure():
         figures._bandwidth_figure("figX", "title", "testbed", "vpic",
                                   {"no_such_field": 1}, scales=[4], reps=2,
                                   seed=0)
-
-
-def test_microbench_figures():
-    mem = figures.microbench_memcpy("quick")
-    gpu = figures.microbench_gpu("quick")
-    assert mem.columns[0] == "size MiB"
-    assert len(mem.rows) == len(gpu.rows) == 10
